@@ -6,8 +6,8 @@
  * Times the three state transitions the attack stack spends its life
  * in — full power-up resolution, unpowered decay, and a supply droop —
  * under each retention kernel (reference scalar path, fast threshold
- * path, fast with cached raw planes), reporting cells/sec and the
- * speedup over the reference path. The kernels are bit-exact by
+ * path), reporting cells/sec and the speedup over the reference
+ * path. The kernels are bit-exact by
  * construction; this bench re-asserts it by comparing every final
  * snapshot and loss count against the reference run before reporting.
  *
@@ -160,7 +160,7 @@ struct ScenarioRun
 /**
  * One timed scenario under the currently selected kernel. The array is
  * rebuilt per run (same seed => same silicon), warmed with one untimed
- * iteration so FastCached pays its plane-build cost outside the timed
+ * iteration so the fingerprint planes are derived outside the timed
  * region, mirroring steady-state campaign use.
  */
 ScenarioRun
@@ -182,7 +182,7 @@ runScenario(const std::string &scenario, size_t bytes, unsigned reps)
         }
     };
 
-    iteration(); // warm-up: fingerprint + cached planes
+    iteration(); // warm-up: fingerprint planes
     ScenarioRun run;
     const auto t0 = std::chrono::steady_clock::now();
     for (unsigned r = 0; r < reps; ++r)
@@ -375,6 +375,9 @@ runPlaneScaling(const std::vector<size_t> &sizes, unsigned reps,
                            "  \"reps\": " +
                            std::to_string(reps) +
                            ",\n  \"jobs\": " + std::to_string(jobs) +
+                           ",\n  \"hardware_concurrency\": " +
+                           std::to_string(
+                               std::thread::hardware_concurrency()) +
                            ",\n  \"sizes\": [\n";
     bool first_size = true;
     for (size_t bytes : sizes) {
@@ -394,8 +397,7 @@ runPlaneScaling(const std::vector<size_t> &sizes, unsigned reps,
             ScenarioRun reference;
             bool first_kernel = true;
             for (RetentionKernel kernel :
-                 {RetentionKernel::Reference, RetentionKernel::Fast,
-                  RetentionKernel::FastCached}) {
+                 {RetentionKernel::Reference, RetentionKernel::Fast}) {
                 if (kernel == RetentionKernel::Reference && !full_ref)
                     continue;
                 KernelScope scope(kernel);
@@ -541,8 +543,7 @@ main(int argc, char **argv)
               << " cells), " << reps << " reps per scenario\n\n";
 
     const RetentionKernel kernels[] = {RetentionKernel::Reference,
-                                       RetentionKernel::Fast,
-                                       RetentionKernel::FastCached};
+                                       RetentionKernel::Fast};
     const char *scenarios[] = {"powerup_resolve", "decay_survival",
                                "droop"};
 

@@ -62,23 +62,6 @@ uint64_t cellBandMaskBatch(const CellRng &rng, uint64_t cell0,
                            uint64_t *in_band);
 
 /**
- * Same classification over a precomputed *bucket* plane (the
- * FastCached per-array caches): buckets[i] holds the top 32 bits of
- * the cell's 53-bit raw uniform (raw >> 21), halving the memory
- * stream the compare has to pull — which is what bounds throughput at
- * DRAM-scale planes. Truncation only coarsens the guard band: lanes
- * whose bucket falls in [band_lo >> 21, band_hi >> 21] land in
- * *in_band (a superset of the exact [band_lo, band_hi) membership,
- * wider by at most one bucket = 2^21 raws per edge) and must be
- * resolved by the caller's exact scalar predicate; the returned mask
- * sets exactly the other lanes whose raw is provably >= band_lo.
- * Bits at or above n are zero in both masks.
- */
-uint64_t rawBucketBandMask(const uint32_t *buckets, unsigned n,
-                           uint64_t band_lo, uint64_t band_hi,
-                           uint64_t *in_band);
-
-/**
  * Power-up-bit extraction for n <= 64 consecutive cells: bit i of the
  * result is rng.bits(cell0 + i, channel) & 1. This is the fingerprint
  * plane derivation reduced to one mask op per 8 cells.

@@ -209,14 +209,6 @@ class MemoryArray
     void ensureFingerprint() const;
     /** Derive this die's power-up planes from scratch. */
     FingerprintPlanes buildFingerprintPlanes() const;
-    /** FastCached: lazily built plane of raw-uniform *buckets* (top 32
-     * bits of each cell's 53-bit raw hash — see rawBucketBandMask) for
-     * @p channel, or nullptr when caching is off or the array is too
-     * large. Half-width entries halve the stream the band compare
-     * pulls from memory, which is the binding resource at >= 1 MiB
-     * planes; the truncated low bits only ever widen the
-     * scalar-resolve guard band, never change a classification. */
-    const uint32_t *cachedPlane(uint64_t channel) const;
 
     std::string name_;
     /** Backing storage for the array's own word planes. */
@@ -240,9 +232,6 @@ class MemoryArray
     uint64_t array_id_ = 0;
     /** Shared immutable power-up planes (see FingerprintPlanes). */
     mutable std::shared_ptr<const FingerprintPlanes> planes_;
-    /** FastCached raw-uniform bucket planes (DRV / retention). */
-    mutable std::vector<uint32_t> drv_raw_plane_;
-    mutable std::vector<uint32_t> retention_raw_plane_;
     /** Signed imprint-years per cell; empty until age() is first used. */
     std::vector<float> imprint_;
     /** Resolve @p cell's power-up state including any imprint drift. */

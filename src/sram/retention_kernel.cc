@@ -1,7 +1,6 @@
 #include "sram/retention_kernel.hh"
 
 #include <atomic>
-#include <cstdlib>
 
 namespace voltboot
 {
@@ -9,36 +8,21 @@ namespace voltboot
 namespace
 {
 
-/** Initial selection: VOLTBOOT_RETENTION_KERNEL if set and valid,
- * otherwise Fast. */
-RetentionKernel
-initialKernel()
-{
-    RetentionKernel k = RetentionKernel::Fast;
-    if (const char *env = std::getenv("VOLTBOOT_RETENTION_KERNEL"))
-        parseRetentionKernel(env, k);
-    return k;
-}
-
-std::atomic<RetentionKernel> &
-kernelSlot()
-{
-    static std::atomic<RetentionKernel> slot{initialKernel()};
-    return slot;
-}
+/** Process-wide selection; constant-initialised to Fast. */
+std::atomic<RetentionKernel> kernel_slot{RetentionKernel::Fast};
 
 } // namespace
 
 RetentionKernel
 retentionKernel()
 {
-    return kernelSlot().load(std::memory_order_relaxed);
+    return kernel_slot.load(std::memory_order_relaxed);
 }
 
 void
 setRetentionKernel(RetentionKernel kernel)
 {
-    kernelSlot().store(kernel, std::memory_order_relaxed);
+    kernel_slot.store(kernel, std::memory_order_relaxed);
 }
 
 bool
@@ -46,8 +30,6 @@ parseRetentionKernel(std::string_view name, RetentionKernel &out)
 {
     if (name == "fast")
         out = RetentionKernel::Fast;
-    else if (name == "fast-cached")
-        out = RetentionKernel::FastCached;
     else if (name == "reference")
         out = RetentionKernel::Reference;
     else
@@ -61,8 +43,6 @@ toString(RetentionKernel kernel)
     switch (kernel) {
       case RetentionKernel::Fast:
         return "fast";
-      case RetentionKernel::FastCached:
-        return "fast-cached";
       case RetentionKernel::Reference:
         return "reference";
     }

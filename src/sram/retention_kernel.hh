@@ -9,17 +9,14 @@
  *    search finds the exact raw-hash cutoff once, then each cell is one
  *    integer compare and the results are applied 64 cells at a time
  *    with word-level bit ops (see docs/PERFORMANCE.md).
- *  - FastCached: Fast, plus a per-array cache of the raw 53-bit uniform
- *    planes for the DRV and retention channels, so repeated transitions
- *    on the same array skip even the per-cell hash chains.
  *  - Reference: the original scalar path — per-cell splitmix hash
  *    chains, Acklam's inverse normal CDF and an exp() per transition.
+ *    It is the oracle the golden-equivalence tests hold Fast to.
  *
  * The selection is process-global (campaign workers construct hermetic
- * per-trial SoCs, so a global is both safe and what the CLI wants) and
- * can be set three ways, in increasing priority: the built-in default
- * (Fast), the VOLTBOOT_RETENTION_KERNEL environment variable, and
- * setRetentionKernel() (driven by the CLI's --retention-path flag).
+ * per-trial SoCs, so a global is both safe and what the CLI wants). It
+ * defaults to Fast; setRetentionKernel() (driven by the CLI's
+ * --retention-path flag) overrides it.
  */
 
 #ifndef VOLTBOOT_SRAM_RETENTION_KERNEL_HH
@@ -33,9 +30,8 @@ namespace voltboot
 /** Which implementation the retention hot path runs. */
 enum class RetentionKernel
 {
-    Fast,       ///< Threshold compares + word-masked application.
-    FastCached, ///< Fast + cached per-array raw parameter planes.
-    Reference,  ///< Original scalar per-cell transcendental path.
+    Fast,      ///< Threshold compares + word-masked application.
+    Reference, ///< Original scalar per-cell transcendental path.
 };
 
 /** Current process-wide kernel selection (thread-safe). */
@@ -45,7 +41,7 @@ RetentionKernel retentionKernel();
 void setRetentionKernel(RetentionKernel kernel);
 
 /**
- * Parse "fast", "fast-cached" or "reference" into @p out.
+ * Parse "fast" or "reference" into @p out.
  * @return false (leaving @p out untouched) on any other spelling.
  */
 bool parseRetentionKernel(std::string_view name, RetentionKernel &out);

@@ -1,10 +1,11 @@
 #include "telemetry/http_server.hh"
 
-#include <atomic>
+#include <chrono>
 #include <cstring>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -20,6 +21,11 @@ namespace
 
 /** Requests larger than this are garbage, not GETs. */
 constexpr size_t kMaxRequestBytes = 8192;
+
+/** A client gets this long to deliver its whole request head; an idle
+ * or trickling connection is dropped after it so the next client is
+ * served. Loopback scrapers send their request at once. */
+constexpr std::chrono::milliseconds kRequestDeadline{2000};
 
 const char *
 statusText(int status)
@@ -98,8 +104,14 @@ HttpServer::stop()
 {
     if (listen_fd_ < 0)
         return;
-    // shutdown() wakes the blocked accept(); the loop then sees the
-    // error and exits.
+    // shutdown() wakes the blocked accept() or the in-flight request
+    // read; the loop then sees the error and exits.
+    {
+        std::lock_guard<std::mutex> lock(conn_mu_);
+        stopping_ = true;
+        if (conn_fd_ >= 0)
+            ::shutdown(conn_fd_, SHUT_RDWR);
+    }
     ::shutdown(listen_fd_, SHUT_RDWR);
     if (thread_.joinable())
         thread_.join();
@@ -117,7 +129,19 @@ HttpServer::serveLoop()
                 continue;
             return; // listener shut down (or unrecoverable)
         }
+        {
+            // Publish the connection so stop() can shut it down; the
+            // lock keeps stop() from touching an fd closed below.
+            std::lock_guard<std::mutex> lock(conn_mu_);
+            if (stopping_) {
+                ::close(fd);
+                return;
+            }
+            conn_fd_ = fd;
+        }
         serveConnection(fd);
+        std::lock_guard<std::mutex> lock(conn_mu_);
+        conn_fd_ = -1;
         ::close(fd);
     }
 }
@@ -125,12 +149,21 @@ HttpServer::serveLoop()
 void
 HttpServer::serveConnection(int fd)
 {
-    // Read until the end of the request head; we ignore any body.
+    // Read until the end of the request head; we ignore any body. A
+    // client that misses the deadline is dropped without a response.
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point deadline = Clock::now() + kRequestDeadline;
     std::string req;
     char buf[1024];
     while (req.size() < kMaxRequestBytes &&
            req.find("\r\n\r\n") == std::string::npos &&
            req.find("\n\n") == std::string::npos) {
+        const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+            deadline - Clock::now());
+        pollfd pfd{fd, POLLIN, 0};
+        if (left.count() <= 0 ||
+            ::poll(&pfd, 1, static_cast<int>(left.count())) <= 0)
+            return;
         const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
         if (n <= 0)
             break;

@@ -4,7 +4,9 @@
  *
  * One blocking-accept thread, one request per connection, Content-Length
  * framing, connection closed after every response — the smallest server
- * that `curl`, Prometheus scrapers, and `wget` all speak natively. No
+ * that `curl`, Prometheus scrapers, and `wget` all speak natively. A
+ * client gets a short deadline to send its request head, so one idle
+ * connection cannot wedge the thread for everyone else. No
  * keep-alive, no chunking, no TLS: this serves loopback-scale
  * observability traffic (`/metrics`, `/healthz`, `/progress`) from a
  * running sweep, not the public internet.
@@ -21,6 +23,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <string>
 #include <thread>
 
@@ -62,7 +65,8 @@ class HttpServer
     /** The bound port (the kernel's pick when constructed with 0). */
     uint16_t port() const { return port_; }
 
-    /** Close the listener and join the accept thread. Idempotent. */
+    /** Close the listener, drop any in-flight connection and join the
+     * accept thread. Idempotent. */
     void stop();
 
   private:
@@ -72,6 +76,10 @@ class HttpServer
     HttpHandler handler_;
     int listen_fd_ = -1;
     uint16_t port_ = 0;
+    /** Guards the in-flight connection handle against stop(). */
+    std::mutex conn_mu_;
+    int conn_fd_ = -1;
+    bool stopping_ = false;
     std::thread thread_;
 };
 

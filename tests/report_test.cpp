@@ -1237,6 +1237,32 @@ TEST(Cli, GlitchSweepTracesPassTheChecker)
     }
 }
 
+TEST(Cli, RetentionPathAcceptsFastAndReferenceOnly)
+{
+    const std::string dir = tempDir("cli_retention_path");
+    // One pi4 cold-boot trial in a partial-loss cell, so the retention
+    // kernel decides which cells survive.
+    const std::string sweep =
+        "sweep --grid \"board=pi4;attack=coldboot;temp=-110;off-ms=20;"
+        "seeds=1\" --jobs 1 --quiet --out ";
+
+    const CliResult bad =
+        runCli(sweep + dir + "/bad.json --retention-path fast-cached", dir);
+    EXPECT_EQ(bad.exit_code, 2);
+    EXPECT_NE(bad.err.find("expected fast or reference"),
+              std::string::npos)
+        << bad.err;
+
+    const CliResult fast = runCli(sweep + dir + "/fast.json", dir);
+    ASSERT_EQ(fast.exit_code, 0) << fast.err;
+    const CliResult ref = runCli(
+        sweep + dir + "/reference.json --retention-path reference", dir);
+    ASSERT_EQ(ref.exit_code, 0) << ref.err;
+    const std::string fast_json = readFile(dir + "/fast.json");
+    EXPECT_FALSE(fast_json.empty());
+    EXPECT_EQ(readFile(dir + "/reference.json"), fast_json);
+}
+
 #endif // VOLTBOOT_CLI_PATH
 
 } // namespace

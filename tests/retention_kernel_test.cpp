@@ -44,7 +44,6 @@ struct KernelGuard
 
 constexpr RetentionKernel kAllKernels[] = {
     RetentionKernel::Fast,
-    RetentionKernel::FastCached,
     RetentionKernel::Reference,
 };
 
@@ -372,22 +371,16 @@ expectScenarioMatchesReference(const RetentionConfig &config,
     for (uint64_t seed : {1ull, 2ull, 0x5eedull}) {
         KernelGuard ref(RetentionKernel::Reference);
         const auto expected = arrayScenario(seed, config);
-        for (RetentionKernel k :
-             {RetentionKernel::Fast, RetentionKernel::FastCached}) {
-            KernelGuard guard(k);
-            const auto got = arrayScenario(seed, config);
-            ASSERT_EQ(got.size(), expected.size());
-            for (size_t i = 0; i < got.size(); ++i) {
-                EXPECT_EQ(got[i].cells_lost, expected[i].cells_lost)
-                    << config_name << " " << toString(k)
-                    << " lastCellsLost, step " << i;
-                ASSERT_EQ(got[i].loss_mask, expected[i].loss_mask)
-                    << config_name << " " << toString(k)
-                    << " loss mask, step " << i;
-                ASSERT_EQ(got[i].snapshot, expected[i].snapshot)
-                    << config_name << " " << toString(k)
-                    << " snapshot bytes, step " << i;
-            }
+        KernelGuard fast(RetentionKernel::Fast);
+        const auto got = arrayScenario(seed, config);
+        ASSERT_EQ(got.size(), expected.size());
+        for (size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].cells_lost, expected[i].cells_lost)
+                << config_name << " lastCellsLost, step " << i;
+            ASSERT_EQ(got[i].loss_mask, expected[i].loss_mask)
+                << config_name << " loss mask, step " << i;
+            ASSERT_EQ(got[i].snapshot, expected[i].snapshot)
+                << config_name << " snapshot bytes, step " << i;
         }
     }
 }
@@ -426,14 +419,9 @@ TEST(GoldenEquivalence, AgedArraysForceTheReferencePathAndStillMatch)
         return std::make_pair(decay, droop);
     };
     const auto expected = agedScenario(RetentionKernel::Reference);
-    for (RetentionKernel k :
-         {RetentionKernel::Fast, RetentionKernel::FastCached}) {
-        const auto got = agedScenario(k);
-        ASSERT_EQ(got.first, expected.first)
-            << toString(k) << " aged decay step diverges";
-        ASSERT_EQ(got.second, expected.second)
-            << toString(k) << " aged droop step diverges";
-    }
+    const auto got = agedScenario(RetentionKernel::Fast);
+    ASSERT_EQ(got.first, expected.first) << "aged decay step diverges";
+    ASSERT_EQ(got.second, expected.second) << "aged droop step diverges";
 }
 
 /** Full Volt Boot + cold boot attack pair on pi4; returns both dumps. */
@@ -471,15 +459,10 @@ TEST(GoldenEquivalence, AttackAndColdBootDumpsAreByteIdentical)
 {
     KernelGuard ref(RetentionKernel::Reference);
     const auto expected = attackScenario();
-    for (RetentionKernel k :
-         {RetentionKernel::Fast, RetentionKernel::FastCached}) {
-        KernelGuard guard(k);
-        const auto got = attackScenario();
-        ASSERT_EQ(got.first, expected.first)
-            << toString(k) << " voltboot dump differs";
-        ASSERT_EQ(got.second, expected.second)
-            << toString(k) << " coldboot dump differs";
-    }
+    KernelGuard fast(RetentionKernel::Fast);
+    const auto got = attackScenario();
+    ASSERT_EQ(got.first, expected.first) << "voltboot dump differs";
+    ASSERT_EQ(got.second, expected.second) << "coldboot dump differs";
 }
 
 std::string

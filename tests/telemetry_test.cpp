@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -48,12 +49,15 @@ tempDir(const std::string &name)
     return dir;
 }
 
-/** Minimal HTTP/1.0 GET client for exercising the embedded server. */
-std::string
-httpGet(uint16_t port, const std::string &request_line)
+/** A TCP socket connected to the loopback @p port. Reads time out
+ * after 10 s so a wedged server fails the test instead of hanging it. */
+int
+connectLoopback(uint16_t port)
 {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     EXPECT_GE(fd, 0);
+    const timeval timeout{10, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(port);
@@ -61,6 +65,14 @@ httpGet(uint16_t port, const std::string &request_line)
     EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
                         sizeof(addr)),
               0);
+    return fd;
+}
+
+/** Minimal HTTP/1.0 GET client for exercising the embedded server. */
+std::string
+httpGet(uint16_t port, const std::string &request_line)
+{
+    const int fd = connectLoopback(port);
     const std::string req = request_line + "\r\n\r\n";
     EXPECT_EQ(::send(fd, req.data(), req.size(), 0),
               static_cast<ssize_t>(req.size()));
@@ -351,4 +363,31 @@ TEST(HttpServer, MalformedRequestGetsA400)
         });
     const std::string bad = httpGet(server.port(), "NONSENSE");
     EXPECT_NE(bad.find("HTTP/1.0 400"), std::string::npos);
+}
+
+TEST(HttpServer, IdleClientBlocksNeitherOtherClientsNorStop)
+{
+    telemetry::HttpServer server(
+        0, [](const std::string &) -> telemetry::HttpResponse {
+            return {200, "text/plain; charset=utf-8", "ok\n"};
+        });
+    using Clock = std::chrono::steady_clock;
+    // A client that connects and never sends a byte: the server must
+    // drop it at its request deadline and serve the next client.
+    const int idle = connectLoopback(server.port());
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const auto t0 = Clock::now();
+    const std::string ok = httpGet(server.port(), "GET /healthz HTTP/1.0");
+    EXPECT_NE(ok.find("HTTP/1.0 200"), std::string::npos);
+    EXPECT_LT(Clock::now() - t0, std::chrono::seconds(5));
+
+    // Another idle client is in flight when stop() runs: stop() must
+    // shut that connection down rather than wait for the deadline.
+    const int idle2 = connectLoopback(server.port());
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const auto t1 = Clock::now();
+    server.stop();
+    EXPECT_LT(Clock::now() - t1, std::chrono::seconds(1));
+    ::close(idle);
+    ::close(idle2);
 }

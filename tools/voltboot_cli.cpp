@@ -20,9 +20,9 @@
  *   --off-ms <ms>             power-off interval     (default 500)
  *   --current <amps>          probe current limit    (default 3.0)
  *   --pad <label>             probe somewhere else (wrong-domain demo)
- *   --retention-path fast|fast-cached|reference
- *                             retention kernel (default fast; all three
- *                             are bit-exact, see docs/PERFORMANCE.md)
+ *   --retention-path fast|reference
+ *                             retention kernel (default fast; both are
+ *                             bit-exact, see docs/PERFORMANCE.md)
  *   --trace FILE              write a JSONL event trace
  *   --trace-chrome FILE       write a chrome://tracing / Perfetto trace
  *   --metrics FILE            write the wall-clock metrics snapshot
@@ -142,14 +142,14 @@ parseUint(const std::string &flag, const std::string &text)
 }
 
 /** Select the process-wide retention kernel from a --retention-path
- * value; rejects anything but fast|fast-cached|reference. */
+ * value; rejects anything but fast|reference. */
 void
 selectRetentionPath(const std::string &text)
 {
     RetentionKernel kernel;
     if (!parseRetentionKernel(text, kernel))
         usageFatal("unknown retention path '", text,
-                   "' (expected fast, fast-cached or reference)");
+                   "' (expected fast or reference)");
     setRetentionKernel(kernel);
 }
 
@@ -877,7 +877,7 @@ usage(std::ostream &out)
            "LABEL]\n"
            "           [--trace FILE.jsonl] [--trace-chrome FILE.json] "
            "[--metrics FILE]\n"
-           "           [--retention-path fast|fast-cached|reference]\n"
+           "           [--retention-path fast|reference]\n"
            "  coldboot --board ... --temp C --off-ms MS [--trace ...]\n"
            "  survey   [--board ...]\n"
            "  retention [--target sram|dram]\n"
@@ -889,7 +889,7 @@ usage(std::ostream &out)
            "[--list-axes]\n"
            "           [--metrics-port N] [--heartbeat FILE.jsonl]\n"
            "           [--telemetry-interval SECONDS]\n"
-           "           [--retention-path fast|fast-cached|reference]\n"
+           "           [--retention-path fast|reference]\n"
            "           --metrics-port serves live /metrics /healthz "
            "/progress\n"
            "           over HTTP while the sweep runs (0 = ephemeral "
