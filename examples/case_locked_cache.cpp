@@ -16,6 +16,7 @@
 #include "core/attack.hh"
 #include "crypto/key_finder.hh"
 #include "crypto/onchip_crypto.hh"
+#include "keyfind/schedule_scan.hh"
 #include "soc/soc.hh"
 
 using namespace voltboot;
@@ -72,8 +73,9 @@ main()
     std::cout << "attacker: L1D dump contains the plaintext binary at "
               << hits.size() << " offsets\n";
 
-    KeyFinder finder;
-    const auto cand = finder.best(dump);
+    const std::vector<KeyCandidate> found =
+        keyfind::scheduleScan(dump, KeyFinderConfig{});
+    const KeyCandidate *cand = found.empty() ? nullptr : &found.front();
     if (cand) {
         std::cout << "attacker: AES schedule found; key = ";
         for (uint8_t b : cand->key)

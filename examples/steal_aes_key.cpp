@@ -27,6 +27,7 @@
 #include "core/attack.hh"
 #include "crypto/key_finder.hh"
 #include "crypto/onchip_crypto.hh"
+#include "keyfind/schedule_scan.hh"
 #include "soc/soc.hh"
 #include "trace/trace.hh"
 
@@ -85,8 +86,9 @@ main(int argc, char **argv)
     const MemoryImage regs = attack.dumpVectorRegisters(0);
     std::cout << "\nattacker: 512-byte vector register dump in hand\n";
 
-    KeyFinder finder;
-    const auto hit = finder.best(regs);
+    const std::vector<KeyCandidate> found =
+        keyfind::scheduleScan(regs, KeyFinderConfig{});
+    const KeyCandidate *hit = found.empty() ? nullptr : &found.front();
     if (!hit) {
         std::cout << "no key schedule found\n";
         return 1;

@@ -4,12 +4,11 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <mutex>
 #include <optional>
 #include <thread>
 #include <vector>
 
-#include "telemetry/counters.hh"
+#include "telemetry/monitor.hh"
 #include "trace/metrics.hh"
 #include "trace/trace.hh"
 
@@ -70,20 +69,10 @@ Campaign::run()
     if (tracing)
         std::filesystem::create_directories(config_.trace_dir);
 
-    // Engine metrics (queue behaviour, per-trial wall-clock). All
-    // wall-clock derived, so they end up in CampaignResult::metrics and
-    // only ever render inside the opt-in timing section.
-    trace::Metrics metrics;
-    metrics.set("campaign.jobs", static_cast<double>(jobs));
-    metrics.set("campaign.chunk", static_cast<double>(chunk));
-
     std::atomic<uint64_t> cursor{0};
-    std::atomic<uint64_t> done{0};
-    std::mutex progress_mutex;
-    // Wall time of the last progress report. The relaxed pre-check
-    // keeps the common no-report path mutex-free; the real decision is
-    // re-taken under progress_mutex.
-    std::atomic<double> last_progress_s{0.0};
+    // Per-worker telemetry deltas; each worker writes only its own
+    // slot, read after the join.
+    std::vector<telemetry::CounterTotals> spent(jobs);
     const auto t0 = clock::now();
 
     auto elapsedSince = [](clock::time_point start) {
@@ -91,18 +80,17 @@ Campaign::run()
             .count();
     };
 
-    auto worker = [&]() {
-        // Metrics is thread-safe; the registry is shared by all
-        // workers. The trace sink below is per-trial, never shared.
-        trace::MetricsScope metrics_scope(&metrics);
-        // Every hot-path counter this worker touches lands in its own
-        // cache-line-padded block; the telemetry monitor sums them.
+    auto worker = [&](unsigned w) {
+        // Every hot-path counter this worker touches — attack-step
+        // wall time included — lands in its own cache-line-padded
+        // block; the telemetry monitor sums them, the engine reads
+        // this worker's deltas.
         telemetry::WorkerScope telemetry_scope;
+        const telemetry::CounterTotals before = telemetry::threadTotals();
         for (;;) {
             const uint64_t begin = cursor.fetch_add(chunk);
             if (begin >= total)
                 break;
-            metrics.add("campaign.queue_grabs");
             const uint64_t end = std::min(begin + chunk, total);
             for (uint64_t i = begin; i < end; ++i) {
                 TrialRecord rec;
@@ -152,19 +140,10 @@ Campaign::run()
                         }
                     }
                     rec.duration_s = elapsedSince(start);
-                    metrics.observe("campaign.trial_wall_s",
-                                    rec.duration_s);
                     if (tracing)
                         CampaignResult::writeFile(
                             tracePath(config_.trace_dir, i),
                             trace::toJsonl(sink.events()));
-                    if (config_.trial_timeout.seconds() > 0.0 &&
-                        rec.duration_s >
-                            config_.trial_timeout.seconds()) {
-                        rec.timed_out = true;
-                        if (config_.abort_on_timeout)
-                            requestAbort();
-                    }
                     telemetry::add(telemetry::Counter::TrialsCompleted);
                     if (rec.status == TrialStatus::Ok)
                         telemetry::add(telemetry::Counter::TrialsWon);
@@ -173,68 +152,43 @@ Campaign::run()
                         telemetry::add(telemetry::Counter::TrialsFailed);
                 }
                 result.records[i] = std::move(rec);
-
-                const uint64_t d =
-                    done.fetch_add(1, std::memory_order_relaxed) + 1;
-                if (config_.progress) {
-                    const double interval =
-                        config_.progress_interval.seconds();
-                    const bool count_due =
-                        d % std::max<uint64_t>(
-                                1, config_.progress_every) == 0 ||
-                        d == total;
-                    const bool maybe_time_due =
-                        interval > 0.0 &&
-                        elapsedSince(t0) -
-                                last_progress_s.load(
-                                    std::memory_order_relaxed) >=
-                            interval;
-                    if (count_due || maybe_time_due) {
-                        std::lock_guard<std::mutex> lock(progress_mutex);
-                        const double now_s = elapsedSince(t0);
-                        const bool time_due =
-                            interval > 0.0 &&
-                            now_s - last_progress_s.load(
-                                        std::memory_order_relaxed) >=
-                                interval;
-                        if (count_due || time_due) {
-                            last_progress_s.store(
-                                now_s, std::memory_order_relaxed);
-                            CampaignProgress p;
-                            p.done = d;
-                            p.total = total;
-                            p.elapsed_s = now_s;
-                            p.trials_per_sec =
-                                p.elapsed_s > 0.0
-                                    ? static_cast<double>(d) /
-                                          p.elapsed_s
-                                    : 0.0;
-                            p.eta_s =
-                                p.trials_per_sec > 0.0
-                                    ? static_cast<double>(total - d) /
-                                          p.trials_per_sec
-                                    : 0.0;
-                            config_.progress(p);
-                        }
-                    }
-                }
             }
         }
+        spent[w] = telemetry::threadTotals().since(before);
     };
 
     if (jobs == 1) {
-        worker();
+        worker(0);
     } else {
         std::vector<std::thread> pool;
         pool.reserve(jobs);
         for (unsigned t = 0; t < jobs; ++t)
-            pool.emplace_back(worker);
+            pool.emplace_back(worker, t);
         for (std::thread &t : pool)
             t.join();
     }
 
     result.wall_seconds = elapsedSince(t0);
-    result.metrics = metrics.snapshot();
+
+    // Engine metrics, all wall-clock derived: they end up in
+    // CampaignResult::metrics and only ever render inside the opt-in
+    // timing section. Every chunk is grabbed exactly once.
+    trace::MetricsSnapshot &metrics = result.metrics;
+    metrics.gauges["campaign.jobs"] = jobs;
+    metrics.gauges["campaign.chunk"] = static_cast<double>(chunk);
+    metrics.counters["campaign.queue_grabs"] =
+        static_cast<double>((total + chunk - 1) / chunk);
+    std::vector<double> walls;
+    for (const TrialRecord &r : result.records)
+        if (r.status != TrialStatus::Skipped)
+            walls.push_back(r.duration_s);
+    if (!walls.empty())
+        metrics.histograms["campaign.trial_wall_s"] =
+            trace::summarize(std::move(walls));
+    telemetry::CounterTotals steps;
+    for (const telemetry::CounterTotals &d : spent)
+        steps += d;
+    metrics.counters.merge(telemetry::stepWallSeconds(steps));
     return result;
 }
 

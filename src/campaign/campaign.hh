@@ -11,22 +11,25 @@
  * whether the campaign ran on one thread or sixteen.
  *
  * Robustness: a trial that throws is captured as TrialStatus::Error and
- * the sweep continues; requestAbort() (or a trial overrunning
- * trial_timeout with abort_on_timeout set) marks all not-yet-started
- * trials Skipped and lets in-flight trials finish. Trials are
- * cooperative — a running trial cannot be preempted — so the timeout is
- * detected at trial completion, not mid-trial.
+ * the sweep continues; requestAbort() marks all not-yet-started trials
+ * Skipped and lets in-flight trials finish.
  *
  * Observability: with CampaignConfig::trace_dir set, every trial runs
  * under its own thread-local trace scope and its events are written to
  * `<trace_dir>/trial_NNNNNN.jsonl`. Because trace timestamps are
  * simulation time and each trial is hermetic, those files are
  * byte-identical for any worker count — the determinism contract
- * extends to traces. The engine also maintains a trace::Metrics
- * registry (queue grabs, chunk size, per-trial wall-clock histogram)
- * whose snapshot lands in CampaignResult::metrics; that snapshot is
+ * extends to traces. At the end of the run the engine summarises its
+ * own cost into CampaignResult::metrics (jobs, chunk, queue grabs, the
+ * per-trial wall-clock histogram, and each attack step's wall-clock
+ * total read from the workers' telemetry blocks); that snapshot is
  * wall-clock derived and therefore only ever rendered in the opt-in
  * timing section of the JSON output. See docs/TRACING.md.
+ *
+ * Progress: the engine keeps no progress model of its own. Its workers
+ * bump the lock-free telemetry counters, and a telemetry::
+ * CampaignMonitor sampling them is the one progress source for
+ * callers (see docs/TELEMETRY.md).
  */
 
 #ifndef VOLTBOOT_CAMPAIGN_CAMPAIGN_HH
@@ -39,21 +42,9 @@
 #include "campaign/campaign_result.hh"
 #include "campaign/sweep_grid.hh"
 #include "campaign/trial_runner.hh"
-#include "sim/units.hh"
 
 namespace voltboot
 {
-
-/** Periodic progress report (delivered from worker threads, one at a
- * time under an internal mutex). */
-struct CampaignProgress
-{
-    uint64_t done = 0;
-    uint64_t total = 0;
-    double elapsed_s = 0.0;
-    double trials_per_sec = 0.0;
-    double eta_s = 0.0;
-};
 
 /** Engine knobs. */
 struct CampaignConfig
@@ -64,19 +55,6 @@ struct CampaignConfig
     uint64_t seed = 0x5eed;
     /** Trials handed to a worker per queue grab; 0 = auto. */
     uint64_t chunk = 0;
-    /** Per-trial wall-clock budget; 0 = unlimited. Overruns are flagged
-     * in the record's timing fields (never in canonical output). */
-    Seconds trial_timeout{0.0};
-    /** Abort the campaign when a trial overruns trial_timeout. */
-    bool abort_on_timeout = false;
-    /** Progress callback; invoked about every progress_every trials,
-     * and additionally whenever progress_interval wall-clock time has
-     * passed since the last report (0 disables the periodic path).
-     * Long sweeps of slow trials thus still report regularly even when
-     * far fewer than progress_every trials finish per interval. */
-    std::function<void(const CampaignProgress &)> progress;
-    uint64_t progress_every = 32;
-    Seconds progress_interval{0.0};
     /**
      * Trial function; defaults to runTrial(). Replaceable for tests
      * (e.g. fault injection) and future remote/sharded executors. May
@@ -101,7 +79,7 @@ class Campaign
     CampaignResult run();
 
     /** Ask the engine to stop handing out new trials (thread-safe;
-     * callable from a progress callback or another thread). */
+     * callable from another thread or a signal handler). */
     void requestAbort() { abort_.store(true, std::memory_order_relaxed); }
     bool aborted() const
     { return abort_.load(std::memory_order_relaxed); }

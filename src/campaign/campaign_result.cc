@@ -251,11 +251,7 @@ CampaignResult::toJson(bool include_timing) const
         out += "    \"wall_seconds\": " + jsonNumber(wall_seconds) + ",\n";
         out += "    \"jobs\": " + std::to_string(jobs) + ",\n";
         out += "    \"trials_per_second\": " +
-               jsonNumber(trialsPerSecond()) + ",\n";
-        uint64_t timed_out = 0;
-        for (const TrialRecord &r : records)
-            timed_out += r.timed_out;
-        out += "    \"trials_timed_out\": " + std::to_string(timed_out);
+               jsonNumber(trialsPerSecond());
         if (!metrics.empty())
             out += ",\n    \"metrics\": " + metrics.toJson(4);
         out += "\n  }";

@@ -102,8 +102,6 @@ struct TrialRecord
 
     /** Wall-clock cost; timing only, never in canonical output. */
     double duration_s = 0.0;
-    /** The trial overran CampaignConfig::trial_timeout (timing only). */
-    bool timed_out = false;
 };
 
 /** Merged per-campaign statistics. */
@@ -154,9 +152,9 @@ struct CampaignResult
     unsigned jobs = 1;
 
     /** Engine metrics captured at the end of the run: worker-queue
-     * counters and the per-trial wall-clock histogram (count, mean,
-     * p50/p90/p99). Wall-clock derived, so rendered only inside the
-     * opt-in timing section of toJson(). */
+     * counters, the per-trial wall-clock histogram (count, mean,
+     * p50/p90/p99) and per-step wall-clock totals. Wall-clock derived,
+     * so rendered only inside the opt-in timing section of toJson(). */
     trace::MetricsSnapshot metrics;
 
     CampaignSummary summary() const;

@@ -48,10 +48,13 @@ uns(const JsonValue &object, const char *key, const std::string &source)
 {
     const JsonValue &v =
         member(object, key, JsonValue::Kind::Number, source);
-    if (v.number < 0)
+    const std::optional<uint64_t> n = v.asCount();
+    if (!n)
         schemaFail(source, v,
-                   std::string("key \"") + key + "\" must be >= 0");
-    return static_cast<uint64_t>(v.number);
+                   std::string("key \"") + key +
+                       "\" must be an integer in [0, 2^64), got " +
+                       v.text);
+    return *n;
 }
 
 std::string
@@ -226,7 +229,6 @@ parseSweepJson(std::string_view text, const std::string &source)
         sweep.jobs = uns(*timing, "jobs", source);
         sweep.trials_per_second =
             num(*timing, "trials_per_second", source);
-        sweep.trials_timed_out = uns(*timing, "trials_timed_out", source);
         if (const JsonValue *metrics = timing->find("metrics"))
             sweep.metrics = parseMetrics(*metrics, source);
     }

@@ -96,7 +96,6 @@ struct SweepDoc
     double wall_seconds = 0.0;
     uint64_t jobs = 0;
     double trials_per_second = 0.0;
-    uint64_t trials_timed_out = 0;
     trace::MetricsSnapshot metrics;
 };
 

@@ -22,13 +22,6 @@ numberOr(const JsonValue *v, double fallback)
     return v && v->isNumber() ? v->number : fallback;
 }
 
-uint64_t
-countOr(const JsonValue *v, uint64_t fallback)
-{
-    return v && v->isNumber() ? static_cast<uint64_t>(v->number)
-                              : fallback;
-}
-
 /** Parse one heartbeat line; false when it is not a heartbeat. */
 bool
 parseHeartbeatLine(const std::string &line, const std::string &source,
@@ -45,36 +38,48 @@ parseHeartbeatLine(const std::string &line, const std::string &source,
         schema->text != "voltboot-heartbeat-v1")
         return false;
 
+    // Counts default to 0 when absent or not numbers; a number that is
+    // not a count (negative, fractional, >= 2^64) drops the line.
+    bool valid = true;
+    auto count = [&valid](const JsonValue *at) -> uint64_t {
+        if (!at || !at->isNumber())
+            return 0;
+        const std::optional<uint64_t> n = at->asCount();
+        valid &= n.has_value();
+        return n.value_or(0);
+    };
+
     Heartbeat hb;
-    hb.seq = countOr(v.find("seq"), 0);
+    hb.seq = count(v.find("seq"));
     if (const JsonValue *f = v.find("final"); f && f->isBool())
         hb.final_sample = f->boolean;
     if (const JsonValue *c = v.find("campaign"); c && c->isObject()) {
-        hb.campaign_seed = countOr(c->find("seed"), 0);
+        hb.campaign_seed = count(c->find("seed"));
         if (const JsonValue *g = c->find("grid"); g && g->isString())
             hb.grid_spec = g->text;
-        hb.total_trials = countOr(c->find("total_trials"), 0);
+        hb.total_trials = count(c->find("total_trials"));
     }
     if (const JsonValue *p = v.find("progress"); p && p->isObject()) {
-        hb.started = countOr(p->find("started"), 0);
-        hb.completed = countOr(p->find("completed"), 0);
-        hb.won = countOr(p->find("won"), 0);
-        hb.failed = countOr(p->find("failed"), 0);
-        hb.skipped = countOr(p->find("skipped"), 0);
+        hb.started = count(p->find("started"));
+        hb.completed = count(p->find("completed"));
+        hb.won = count(p->find("won"));
+        hb.failed = count(p->find("failed"));
+        hb.skipped = count(p->find("skipped"));
     }
     if (const JsonValue *c = v.find("counters"); c && c->isObject())
         for (const auto &[name, value] : c->members)
             if (value.isNumber())
-                hb.counters[name] =
-                    static_cast<uint64_t>(value.number);
+                hb.counters[name] = count(&value);
     if (const JsonValue *w = v.find("wall"); w && w->isObject()) {
-        hb.unix_ms = countOr(w->find("unix_ms"), 0);
+        hb.unix_ms = count(w->find("unix_ms"));
         hb.elapsed_s = numberOr(w->find("elapsed_s"), 0.0);
         hb.trials_per_sec = numberOr(w->find("trials_per_sec"), 0.0);
         hb.trials_per_sec_ewma =
             numberOr(w->find("trials_per_sec_ewma"), 0.0);
         hb.eta_s = numberOr(w->find("eta_s"), 0.0);
     }
+    if (!valid)
+        return false;
     *out = std::move(hb);
     return true;
 }

@@ -49,8 +49,9 @@ struct Heartbeat
 
 /**
  * Parse the heartbeat stream at @p path, in file order. Lines that are
- * not valid heartbeat objects (torn tail writes, foreign schemas) are
- * skipped. fatal()s when the file cannot be read.
+ * not valid heartbeat objects (torn tail writes, foreign schemas, a
+ * count that is negative, fractional or >= 2^64) are skipped. fatal()s
+ * when the file cannot be read.
  */
 std::vector<Heartbeat> readHeartbeats(const std::string &path);
 

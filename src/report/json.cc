@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 
 namespace voltboot
 {
@@ -22,6 +23,23 @@ JsonValue::find(std::string_view key) const
         if (k == key)
             return &v;
     return nullptr;
+}
+
+std::optional<uint64_t>
+JsonValue::asCount() const
+{
+    if (!isNumber())
+        return std::nullopt;
+    uint64_t n = 0;
+    const char *end = text.data() + text.size();
+    if (const auto [ptr, ec] = std::from_chars(text.data(), end, n);
+        ec == std::errc() && ptr == end)
+        return n;
+    // Other spellings ("2.0", "1e3") count when they name an integer
+    // in range; the cast below is only defined for those.
+    if (number >= 0.0 && number < 0x1p64 && number == std::floor(number))
+        return static_cast<uint64_t>(number);
+    return std::nullopt;
 }
 
 const char *

@@ -26,6 +26,8 @@
 #define VOLTBOOT_REPORT_JSON_HH
 
 #include <cstddef>
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -89,6 +91,13 @@ struct JsonValue
 
     /** Object member lookup; nullptr when absent (or not an object). */
     const JsonValue *find(std::string_view key) const;
+
+    /**
+     * The value as an unsigned count, or nullopt when it is not one: a
+     * non-number, negative, non-integral, or >= 2^64. Plain integer
+     * spellings convert exactly at any magnitude (64-bit seeds).
+     */
+    std::optional<uint64_t> asCount() const;
 
     /** Human name of @p kind for diagnostics ("object", "number", ...). */
     static const char *kindName(Kind kind);

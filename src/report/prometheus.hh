@@ -2,7 +2,7 @@
  * @file
  * Prometheus text exposition (version 0.0.4) for MetricsSnapshot.
  *
- * Maps the registry's dotted metric names onto Prometheus conventions:
+ * Maps the snapshot's dotted metric names onto Prometheus conventions:
  * names are prefixed `voltboot_` and dots become underscores, counters
  * and gauges emit one sample each, and histograms emit as summaries —
  * `{quantile="0.5|0.9|0.99"}` samples plus `_sum` and `_count`. Output

@@ -340,9 +340,7 @@ buildCampaignReport(const SweepDoc &sweep,
         md += "- wall time: " + fmt("%.3f", sweep.wall_seconds) +
               " s at " + std::to_string(sweep.jobs) + " job(s)\n";
         md += "- throughput: " + fmt("%.1f", sweep.trials_per_second) +
-              " trials/s\n";
-        md += "- timed out: " + std::to_string(sweep.trials_timed_out) +
-              "\n\n";
+              " trials/s\n\n";
         if (!sweep.metrics.histograms.empty()) {
             md += "| metric | count | mean | p50 | p90 | p99 | max |\n";
             md += "|---|---:|---:|---:|---:|---:|---:|\n";
@@ -355,6 +353,29 @@ buildCampaignReport(const SweepDoc &sweep,
             }
             md += "\n";
         }
+        // Attack-step totals, as a share of the summed trial wall time.
+        const std::string step_prefix = "core.wall_s.";
+        double trial_sum = 0.0;
+        if (const auto it =
+                sweep.metrics.histograms.find("campaign.trial_wall_s");
+            it != sweep.metrics.histograms.end())
+            trial_sum =
+                it->second.mean * static_cast<double>(it->second.count);
+        std::string steps;
+        for (const auto &[name, total_s] : sweep.metrics.counters) {
+            if (name.compare(0, step_prefix.size(), step_prefix) != 0)
+                continue;
+            steps += "| `" + name.substr(step_prefix.size()) + "` | " +
+                     fmt("%.6f", total_s) + " | " +
+                     (trial_sum > 0.0
+                          ? fmt("%.1f%%", 100.0 * total_s / trial_sum)
+                          : std::string("-")) +
+                     " |\n";
+        }
+        if (!steps.empty())
+            md += "| step | total (s) | share of trial wall time |\n"
+                  "|---|---:|---:|\n" +
+                  steps + "\n";
     }
 
     // --- Regression vs baseline -----------------------------------

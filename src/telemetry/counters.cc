@@ -87,9 +87,32 @@ counterName(Counter c)
       case Counter::KeyfindCorrections: return "keyfind_corrections";
       case Counter::KeyfindCorrectionIters:
         return "keyfind_correction_iterations";
+      case Counter::StepProbeNs: return "wall_ns_attack_steps12_probe";
+      case Counter::StepPowerCycleNs:
+        return "wall_ns_attack_step3_power_cycle";
+      case Counter::StepExtractNs: return "wall_ns_attack_step4_extract";
+      case Counter::ColdbootPowerCycleNs:
+        return "wall_ns_coldboot_power_cycle";
+      case Counter::GlitchNs: return "wall_ns_attack_glitch";
+      case Counter::StaticExtractNs:
+        return "wall_ns_attack_static_extract";
       case Counter::kCount: break;
     }
     return "?";
+}
+
+const char *
+stepName(Counter c)
+{
+    switch (c) {
+      case Counter::StepProbeNs: return "attack.steps12_probe";
+      case Counter::StepPowerCycleNs: return "attack.step3_power_cycle";
+      case Counter::StepExtractNs: return "attack.step4_extract";
+      case Counter::ColdbootPowerCycleNs: return "coldboot.power_cycle";
+      case Counter::GlitchNs: return "attack.glitch";
+      case Counter::StaticExtractNs: return "attack.static_extract";
+      default: return nullptr;
+    }
 }
 
 CounterTotals
@@ -101,6 +124,16 @@ totals()
     for (const auto &block : p.blocks)
         for (unsigned i = 0; i < kCounterCount; ++i)
             t.v[i] += block->slots[i].load(std::memory_order_relaxed);
+    return t;
+}
+
+CounterTotals
+threadTotals()
+{
+    CounterTotals t;
+    if (const CounterBlock *b = tl_block)
+        for (unsigned i = 0; i < kCounterCount; ++i)
+            t.v[i] = b->slots[i].load(std::memory_order_relaxed);
     return t;
 }
 

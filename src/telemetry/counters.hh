@@ -70,13 +70,30 @@ enum class Counter : unsigned
     KeyfindEarlyRejects, ///< Offsets the residual pre-filter rejected.
     KeyfindCorrections,  ///< Key-correction attempts entered.
     KeyfindCorrectionIters, ///< Local-search iterations across attempts.
+    // Wall-clock slots: nanoseconds spent inside each attack step's
+    // StepScope (core/step_scope.hh), one slot per step.
+    StepProbeNs,          ///< attack.steps12_probe
+    StepPowerCycleNs,     ///< attack.step3_power_cycle
+    StepExtractNs,        ///< attack.step4_extract
+    ColdbootPowerCycleNs, ///< coldboot.power_cycle
+    GlitchNs,             ///< attack.glitch
+    StaticExtractNs,      ///< attack.static_extract
     kCount
 };
 
 constexpr unsigned kCounterCount = static_cast<unsigned>(Counter::kCount);
 
+/** The first wall-clock slot; every slot from here on is one. Their
+ * values depend on the clock, not only on the schedule, so heartbeats
+ * render them under `wall`, never under `counters`. */
+constexpr Counter kFirstWallCounter = Counter::StepProbeNs;
+
 /** Stable snake_case name of @p c (the /metrics + heartbeat key). */
 const char *counterName(Counter c);
+
+/** The step a wall-clock slot times, named as its trace span
+ * ("attack.step3_power_cycle"); nullptr for every other slot. */
+const char *stepName(Counter c);
 
 /**
  * One worker's counter slots. alignas(64) keeps blocks on their own
@@ -147,10 +164,34 @@ struct CounterTotals
     {
         return v[static_cast<unsigned>(c)];
     }
+
+    /** Slot-wise `*this - earlier`: what was added between two
+     * readings of the same monotonic source. */
+    CounterTotals
+    since(const CounterTotals &earlier) const
+    {
+        CounterTotals d;
+        for (unsigned i = 0; i < kCounterCount; ++i)
+            d.v[i] = v[i] - earlier.v[i];
+        return d;
+    }
+
+    CounterTotals &
+    operator+=(const CounterTotals &o)
+    {
+        for (unsigned i = 0; i < kCounterCount; ++i)
+            v[i] += o.v[i];
+        return *this;
+    }
 };
 
 /** Relaxed-sum every registered block. Callable from any thread. */
 CounterTotals totals();
+
+/** Relaxed read of the current thread's own block only (all zero
+ * outside a WorkerScope). Deltas of two readings inside one scope are
+ * exactly what this thread added: no other thread writes its block. */
+CounterTotals threadTotals();
 
 /** Zero every block and the retired totals (tests / between
  * campaigns in one process). Not safe concurrently with workers. */

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 
 #include "trace/trace.hh"
 
@@ -117,7 +116,6 @@ CampaignMonitor::sample(bool final_sample)
             .count();
 
     TelemetrySnapshot snap;
-    std::string line;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         const TelemetrySnapshot &prev = latest_;
@@ -133,11 +131,10 @@ CampaignMonitor::sample(bool final_sample)
         snap.trials_per_sec =
             dt > 0.0 ? static_cast<double>(done - prev_done) / dt : 0.0;
         snap.trials_per_sec_ewma =
-            prev.seq == 0
-                ? snap.trials_per_sec
-                : config_.rate_alpha * snap.trials_per_sec +
-                      (1.0 - config_.rate_alpha) *
-                          prev.trials_per_sec_ewma;
+            prev.seq == 0 ? snap.trials_per_sec
+                          : kRateAlpha * snap.trials_per_sec +
+                                (1.0 - kRateAlpha) *
+                                    prev.trials_per_sec_ewma;
         const uint64_t skipped = now.get(Counter::TrialsSkipped);
         if (config_.total_trials > done + skipped &&
             snap.trials_per_sec_ewma > 0.0)
@@ -145,20 +142,9 @@ CampaignMonitor::sample(bool final_sample)
                                              done - skipped) /
                          snap.trials_per_sec_ewma;
         latest_ = snap;
-        if (!config_.heartbeat_path.empty())
-            line = heartbeatLine(snap);
     }
-
-    if (!line.empty()) {
-        // Append + flush per line: a SIGKILLed sweep keeps every
-        // completed sample. Opened per write so the path stays valid
-        // even if the file is rotated away mid-campaign.
-        if (std::FILE *f =
-                std::fopen(config_.heartbeat_path.c_str(), "a")) {
-            std::fwrite(line.data(), 1, line.size(), f);
-            std::fclose(f);
-        }
-    }
+    if (config_.on_sample)
+        config_.on_sample(*this, snap);
 }
 
 TelemetrySnapshot
@@ -273,7 +259,8 @@ CampaignMonitor::heartbeatLine(const TelemetrySnapshot &snap) const
            std::to_string(snap.totals.get(Counter::TrialsSkipped)) +
            "}";
     out += ", \"counters\": {";
-    for (unsigned i = 0; i < kCounterCount; ++i) {
+    for (unsigned i = 0; i < static_cast<unsigned>(kFirstWallCounter);
+         ++i) {
         if (i)
             out += ", ";
         out += std::string("\"") +
@@ -287,7 +274,30 @@ CampaignMonitor::heartbeatLine(const TelemetrySnapshot &snap) const
            trace::jsonNumber(snap.trials_per_sec);
     out += ", \"trials_per_sec_ewma\": " +
            trace::jsonNumber(snap.trials_per_sec_ewma);
-    out += ", \"eta_s\": " + trace::jsonNumber(snap.eta_s) + "}}\n";
+    out += ", \"eta_s\": " + trace::jsonNumber(snap.eta_s);
+    out += ", \"steps_s\": {";
+    for (unsigned i = static_cast<unsigned>(kFirstWallCounter);
+         i < kCounterCount; ++i) {
+        if (i != static_cast<unsigned>(kFirstWallCounter))
+            out += ", ";
+        out += std::string("\"") + stepName(static_cast<Counter>(i)) +
+               "\": " + trace::jsonNumber(
+                   1e-9 * static_cast<double>(snap.totals.v[i]));
+    }
+    out += "}}}\n";
+    return out;
+}
+
+std::map<std::string, double>
+stepWallSeconds(const CounterTotals &t)
+{
+    std::map<std::string, double> out;
+    for (unsigned i = static_cast<unsigned>(kFirstWallCounter);
+         i < kCounterCount; ++i)
+        if (t.v[i] > 0)
+            out[std::string("core.wall_s.") +
+                stepName(static_cast<Counter>(i))] =
+                1e-9 * static_cast<double>(t.v[i]);
     return out;
 }
 

@@ -3,8 +3,13 @@
  * The campaign telemetry monitor: a sampler thread that aggregates the
  * lock-free worker counters into periodic snapshots, derives the
  * progress model (trial rate, EWMA, ETA, per-axis grid completion),
- * appends the heartbeat JSONL stream, and hands mutex-guarded copies
- * to the /metrics + /progress endpoints.
+ * hands every sample to one caller-supplied callback, and keeps
+ * mutex-guarded copies for the /metrics + /progress endpoints.
+ *
+ * The monitor is the only progress source: a caller renders every
+ * progress surface it wants — heartbeat lines, a terminal status line,
+ * trace counter events — from the per-sample callback, and serves
+ * pull-style endpoints from latest().
  *
  * Layering: the monitor knows nothing about Campaign or SweepGrid —
  * the caller describes the sweep as a total trial count plus an
@@ -29,6 +34,8 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -50,10 +57,21 @@ struct AxisDesc
     uint64_t size = 1;
 };
 
+struct TelemetrySnapshot;
+class CampaignMonitor;
+
+/** Receives every sample, timer-driven and final, in order and never
+ * concurrently; the final sample arrives on the thread calling stop(). */
+using SampleCallback = std::function<void(const CampaignMonitor &,
+                                          const TelemetrySnapshot &)>;
+
+/** EWMA smoothing factor for the trial rate (per sample). */
+constexpr double kRateAlpha = 0.3;
+
 /** Monitor knobs. */
 struct MonitorConfig
 {
-    /** Seconds between samples (heartbeat lines, snapshot refresh). */
+    /** Seconds between samples (callback cadence, snapshot refresh). */
     double interval_s = 1.0;
     /** Total trials of the sweep (0 = unknown; no ETA / axes). */
     uint64_t total_trials = 0;
@@ -62,10 +80,8 @@ struct MonitorConfig
     std::string grid_spec;
     /** Axes, slowest-varying first (SweepGrid enumeration order). */
     std::vector<AxisDesc> axes;
-    /** Append one heartbeat JSONL line per sample; empty = off. */
-    std::string heartbeat_path;
-    /** EWMA smoothing factor for the trial rate (per sample). */
-    double rate_alpha = 0.3;
+    /** Called once per sample; empty = no callback. */
+    SampleCallback on_sample;
 };
 
 /** One aggregated sample of the campaign's counters + rate model. */
@@ -81,10 +97,16 @@ struct TelemetrySnapshot
 };
 
 /**
+ * The wall-clock step slots of @p t as `core.wall_s.<step>` entries in
+ * total seconds, for a metrics snapshot's counters. Steps that never
+ * ran are omitted.
+ */
+std::map<std::string, double> stepWallSeconds(const CounterTotals &t);
+
+/**
  * The sampler. start() launches the thread; stop() (or destruction)
- * takes one final sample — flushing the last heartbeat line with
- * `"final": true` — and joins. All accessors are safe from any
- * thread.
+ * joins it and takes one final sample, flagged final_sample. All
+ * accessors are safe from any thread.
  */
 class CampaignMonitor
 {
@@ -95,7 +117,7 @@ class CampaignMonitor
     CampaignMonitor &operator=(const CampaignMonitor &) = delete;
 
     void start();
-    /** Final sample + heartbeat, then join. Idempotent. */
+    /** Join, then take the final sample. Idempotent. */
     void stop();
 
     /** Copy of the most recent sample (or a fresh sample when none
@@ -103,7 +125,7 @@ class CampaignMonitor
     TelemetrySnapshot latest() const;
 
     /**
-     * The latest sample as a metrics registry snapshot — counters
+     * The latest sample as a metrics snapshot — counters
      * named `telemetry.<counter>`, the rate model as gauges — which
      * report::toPrometheus renders directly; this is the /metrics
      * payload.
@@ -114,14 +136,14 @@ class CampaignMonitor
      * per-axis grid position/completion. */
     std::string progressJson() const;
 
-    /** One heartbeat line for @p snap (exposed for tests). */
+    /** One newline-terminated heartbeat JSONL line for @p snap. */
     std::string heartbeatLine(const TelemetrySnapshot &snap) const;
 
     const MonitorConfig &config() const { return config_; }
 
   private:
     void sampleLoop();
-    /** Take a sample, update the rate model, append the heartbeat. */
+    /** Take a sample, update the rate model, run the callback. */
     void sample(bool final_sample);
 
     MonitorConfig config_;

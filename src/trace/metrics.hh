@@ -1,6 +1,7 @@
 /**
  * @file
- * A small metrics registry: counters, gauges and histograms.
+ * Plain-value metric snapshots: counters, gauges and histogram
+ * summaries.
  *
  * Metrics complement the event trace (trace/trace.hh): where the trace
  * answers "what happened, when, in simulation time", metrics aggregate
@@ -11,12 +12,11 @@
  * metrics snapshot; CampaignResult keeps its snapshot in the opt-in
  * timing section for exactly this reason.
  *
- * The registry is thread-safe (one mutex; registration and observation
- * are far off any per-cell hot path) so a campaign's worker pool can
- * share one registry. Snapshots are order-independent: counters sum,
- * gauges keep their last value, histogram summaries are computed from
- * the sorted sample set — so a snapshot of deterministic observations
- * is itself deterministic regardless of thread schedule.
+ * Nothing here is live: the running counters are the lock-free
+ * telemetry slots (telemetry/counters.hh). A snapshot is built once
+ * from values already in hand — a campaign's records, a worker's
+ * counter deltas, a monitor sample — and handed to the JSON writer,
+ * report/prometheus and report/campaign_json.
  */
 
 #ifndef VOLTBOOT_TRACE_METRICS_HH
@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -46,11 +45,19 @@ struct HistogramSummary
 };
 
 /**
- * A plain-value copy of a registry's state at one instant.
+ * Summarise @p samples exactly: count, mean, min, max and the
+ * nearest-rank p50/p90/p99 (rank floor(q * n), clamped to n - 1, of
+ * the sorted samples). The result does not depend on sample order.
+ * An empty vector yields an all-zero summary.
+ */
+HistogramSummary summarize(std::vector<double> samples);
+
+/**
+ * A set of named counters, gauges and histogram summaries, keyed by
+ * dotted names (e.g. "campaign.trial_wall_s").
  *
  * Copyable and comparable; CampaignResult embeds one so sweep outputs
- * can carry per-trial timing percentiles without holding a live
- * (mutex-owning) registry.
+ * can carry per-trial timing percentiles.
  */
 struct MetricsSnapshot
 {
@@ -70,60 +77,6 @@ struct MetricsSnapshot
      * snapshot can be embedded in a larger document.
      */
     std::string toJson(int indent = 0) const;
-};
-
-/** Counters / gauges / histograms, keyed by dotted names
- * (e.g. "campaign.trial_wall_s"). */
-class Metrics
-{
-  public:
-    /**
-     * Per-histogram retained-sample bound.
-     *
-     * observe() keeps raw samples so snapshots can report order
-     * statistics, but an unbounded campaign must not grow memory
-     * without bound. When a histogram reaches this many retained
-     * samples it is decimated: the retained set is sorted and every
-     * second sample kept — deterministic (no RNG), and uniform across
-     * the distribution, so percentiles stay stable at the cap.
-     * `count`, `mean`, `min` and `max` are tracked exactly regardless;
-     * only the percentile estimates coarsen past the cap.
-     */
-    static constexpr size_t kHistogramSampleCap = 4096;
-
-    /** Add @p delta to counter @p name (created at zero). */
-    void add(const std::string &name, double delta = 1.0);
-
-    /** Set gauge @p name to @p value. */
-    void set(const std::string &name, double value);
-
-    /** Record one sample into histogram @p name. At most
-     * kHistogramSampleCap samples are retained per histogram (see
-     * above); intended for per-trial/per-step cardinality, not
-     * per-cell. */
-    void observe(const std::string &name, double value);
-
-    /** Copy out the current state. */
-    MetricsSnapshot snapshot() const;
-
-    /** snapshot().toJson() convenience. */
-    std::string toJson() const;
-
-  private:
-    /** One histogram's retained samples plus exact running moments. */
-    struct Reservoir
-    {
-        std::vector<double> samples; ///< Retained (possibly decimated).
-        uint64_t total = 0;          ///< Exact observation count.
-        double sum = 0.0;            ///< Exact sum of all observations.
-        double min = 0.0;            ///< Exact; valid when total > 0.
-        double max = 0.0;            ///< Exact; valid when total > 0.
-    };
-
-    mutable std::mutex mutex_;
-    std::map<std::string, double> counters_;
-    std::map<std::string, double> gauges_;
-    std::map<std::string, Reservoir> histograms_;
 };
 
 } // namespace trace

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <set>
+#include <thread>
 #include <tuple>
 
 #include "campaign/campaign.hh"
@@ -19,6 +21,7 @@
 #include "campaign/trial_runner.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
+#include "telemetry/monitor.hh"
 
 using namespace voltboot;
 
@@ -220,25 +223,47 @@ TEST(Campaign, AbortSkipsRemainingTrials)
     EXPECT_EQ(result.records[63].status, TrialStatus::Skipped);
 }
 
-TEST(Campaign, ProgressCallbackReportsMonotonically)
+TEST(Campaign, MonitorSamplesReportMonotonically)
 {
     SweepGrid grid;
     grid.seed_count = 40;
     CampaignConfig cfg;
     cfg.jobs = 4;
-    cfg.runner = fakeTrial;
-    cfg.progress_every = 10;
-    std::atomic<uint64_t> last{0};
-    std::atomic<bool> saw_final{false};
-    cfg.progress = [&](const CampaignProgress &p) {
-        EXPECT_LE(p.done, p.total);
-        EXPECT_GE(p.done, last.load());
-        last.store(p.done);
-        if (p.done == p.total)
-            saw_final.store(true);
+    // Slow enough that the 1 ms sampler sees the sweep mid-flight.
+    cfg.runner = [](const TrialSpec &spec, uint64_t seed) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        return fakeTrial(spec, seed);
     };
+
+    // The callback never runs concurrently, and stop() joins the
+    // sampler before the final sample: plain variables suffice.
+    uint64_t last = 0;
+    uint64_t finals = 0;
+    uint64_t final_done = 0;
+    telemetry::resetCounters();
+    telemetry::MonitorConfig mcfg;
+    mcfg.interval_s = 0.001;
+    mcfg.total_trials = grid.size();
+    mcfg.on_sample = [&](const telemetry::CampaignMonitor &,
+                         const telemetry::TelemetrySnapshot &snap) {
+        const uint64_t done =
+            snap.totals.get(telemetry::Counter::TrialsCompleted) +
+            snap.totals.get(telemetry::Counter::TrialsSkipped);
+        EXPECT_LE(done, grid.size());
+        EXPECT_GE(done, last);
+        last = done;
+        if (snap.final_sample) {
+            ++finals;
+            final_done = done;
+        }
+    };
+    telemetry::CampaignMonitor monitor(mcfg);
+    monitor.start();
     Campaign(grid, cfg).run();
-    EXPECT_TRUE(saw_final.load());
+    monitor.stop();
+    EXPECT_EQ(finals, 1u);
+    EXPECT_EQ(final_done, grid.size());
+    telemetry::resetCounters();
 }
 
 TEST(Campaign, CsvHasHeaderAndOneRowPerTrial)

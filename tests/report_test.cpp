@@ -598,42 +598,12 @@ TEST(Invariants, RealGlitchTrialTracePasses)
         << report::renderViolations(violations);
 }
 
-// --- metrics reservoir cap -------------------------------------------
-
-TEST(MetricsCap, ExactMomentsAndStablePercentilesAtCap)
-{
-    trace::Metrics m;
-    const size_t n = 3 * trace::Metrics::kHistogramSampleCap;
-    // Feed the values 0..n-1 exactly once each, in a stride-permuted
-    // order so the stream is stationary: decimation keeps a
-    // recency-weighted subset, which is only a fair sample of the
-    // distribution when the distribution does not drift over the
-    // stream. (A deliberately drifting stream is exactly the case
-    // where only count/mean/min/max stay exact.)
-    const size_t stride = 7919; // prime, coprime to n = 3 * 2^12
-    for (size_t i = 0; i < n; ++i)
-        m.observe("h", static_cast<double>(i * stride % n));
-
-    const trace::HistogramSummary h = m.snapshot().histograms.at("h");
-    // Count, sum-derived mean, min and max are exact past the cap.
-    EXPECT_EQ(h.count, n);
-    EXPECT_DOUBLE_EQ(h.min, 0.0);
-    EXPECT_DOUBLE_EQ(h.max, static_cast<double>(n - 1));
-    EXPECT_DOUBLE_EQ(h.mean, static_cast<double>(n - 1) / 2.0);
-    // Percentiles come from the decimated reservoir but stay within a
-    // couple percent of the true order statistics.
-    const double range = static_cast<double>(n);
-    EXPECT_NEAR(h.p50, 0.50 * range, 0.02 * range);
-    EXPECT_NEAR(h.p90, 0.90 * range, 0.02 * range);
-    EXPECT_NEAR(h.p99, 0.99 * range, 0.02 * range);
-}
+// --- metrics summaries -----------------------------------------------
 
 TEST(MetricsCap, UnderCapRemainsExact)
 {
-    trace::Metrics m;
-    for (double v : {5.0, 1.0, 3.0, 2.0, 4.0})
-        m.observe("h", v);
-    const trace::HistogramSummary h = m.snapshot().histograms.at("h");
+    const trace::HistogramSummary h =
+        trace::summarize({5.0, 1.0, 3.0, 2.0, 4.0});
     EXPECT_EQ(h.count, 5u);
     EXPECT_DOUBLE_EQ(h.mean, 3.0);
     EXPECT_DOUBLE_EQ(h.p50, 3.0);
@@ -824,6 +794,15 @@ TEST(Heartbeat, ReadsStreamAndToleratesTornTail)
         out << "\n"; // blank line: skipped
         out << "{\"schema\": \"something-else\", \"seq\": 9}\n";
         out << heartbeatLine(2, false, 9, 5.0) << "\n";
+        // Counts that are not counts drop their line: the reader is
+        // strict about the lines it accepts.
+        for (const char *bad : {"1e300", "-1", "2.5"}) {
+            std::string line = heartbeatLine(7, false, 12, 5.0);
+            const std::string field = "\"completed\": 12";
+            line.replace(line.find(field), field.size(),
+                         std::string("\"completed\": ") + bad);
+            out << line << "\n";
+        }
         out << heartbeatLine(3, true, 24, 5.5) << "\n";
         // Torn tail write from a killed process: no newline, cut mid-
         // object. Must be dropped without losing the lines before it.
@@ -922,6 +901,9 @@ TEST(CampaignJson, RoundTripsThroughResultJson)
     EXPECT_EQ(sweep.campaign_seed, result.campaign_seed);
     ASSERT_EQ(sweep.records.size(), result.records.size());
     EXPECT_EQ(sweep.records[0].board, "pi4");
+    // 64-bit chip seeds survive the reader exactly.
+    for (size_t i = 0; i < sweep.records.size(); ++i)
+        EXPECT_EQ(sweep.records[i].chip_seed, result.records[i].chip_seed);
     EXPECT_TRUE(sweep.has_timing);
     EXPECT_EQ(sweep.jobs, result.jobs);
     EXPECT_EQ(sweep.metrics.histograms.count("campaign.trial_wall_s"),
@@ -947,6 +929,32 @@ TEST(CampaignJson, RejectsSchemaViolations)
             R"({"schema": "voltboot-campaign-v1", "campaign_seed": 1,)"
             R"( "grid": "g", "trials": 3, "records": []})"),
         report::JsonParseError);
+    // Counts must be integers in [0, 2^64), rejected at their position.
+    for (const char *bad : {"1e300", "-1", "2.5", "18446744073709551616"}) {
+        const std::string doc =
+            std::string(R"({"schema": "voltboot-campaign-v1", )"
+                        R"("campaign_seed": 1, "grid": "g", "trials": )") +
+            bad + R"(, "records": []})";
+        try {
+            report::parseSweepJson(doc, "sweep.json");
+            ADD_FAILURE() << "accepted trials = " << bad;
+        } catch (const report::JsonParseError &e) {
+            EXPECT_NE(std::string(e.what()).find("sweep.json:1:"),
+                      std::string::npos)
+                << e.what();
+            EXPECT_NE(std::string(e.what()).find("\"trials\""),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    CampaignResult one;
+    one.records.resize(1);
+    std::string fractional = one.toJson();
+    const std::string field = "\"dump_bytes\": 0";
+    fractional.replace(fractional.find(field), field.size(),
+                       "\"dump_bytes\": 2.5");
+    EXPECT_THROW(report::parseSweepJson(fractional),
+                 report::JsonParseError);
 }
 
 TEST(CampaignJson, ParsesBaseline)
@@ -1200,6 +1208,42 @@ TEST(Cli, ReportCampaignEndToEnd)
         dir);
     EXPECT_EQ(metrics.exit_code, 0) << metrics.err;
     EXPECT_NE(metrics.out.find("\"counters\""), std::string::npos);
+}
+
+TEST(Cli, SweepRejectsAnUnwritableHeartbeatPath)
+{
+    const std::string dir = tempDir("cli_heartbeat_path");
+    const std::string bad = dir + "/no_such_dir/hb.jsonl";
+    const CliResult r = runCli(
+        "sweep --grid \"board=pi4;attack=voltboot;seeds=1\" --quiet "
+        "--heartbeat " +
+            bad + " --out " + dir + "/sweep.json",
+        dir);
+    EXPECT_EQ(r.exit_code, 2);
+    EXPECT_NE(r.err.find(bad), std::string::npos) << r.err;
+    EXPECT_FALSE(std::filesystem::exists(dir + "/sweep.json"));
+}
+
+TEST(Cli, SweepTraceDirWritesProgressEvents)
+{
+    const std::string dir = tempDir("cli_progress");
+    const std::string traces = dir + "/traces";
+    const CliResult sweep = runCli(
+        "sweep --grid \"board=pi4;attack=voltboot,coldboot;off-ms=5;"
+        "seeds=1\" --jobs 2 --quiet --trace-dir " +
+            traces,
+        dir);
+    ASSERT_EQ(sweep.exit_code, 0) << sweep.err;
+
+    const std::vector<trace::TraceEvent> events =
+        report::readTraceFile(traces + "/progress.jsonl");
+    const trace::TraceEvent *last_done = nullptr;
+    for (const trace::TraceEvent &e : events)
+        if (e.name == "progress.done")
+            last_done = &e;
+    ASSERT_NE(last_done, nullptr);
+    ASSERT_EQ(last_done->args.size(), 1u);
+    EXPECT_EQ(last_done->args[0].json, "2");
 }
 
 TEST(Cli, SweepListAxesEnumeratesEveryAxis)

@@ -218,6 +218,7 @@ TEST(Monitor, HeartbeatLineRoundTripsThroughTheReportReader)
         telemetry::add(Counter::TrialsWon, 11);
         telemetry::add(Counter::TrialsFailed, 2);
         telemetry::add(Counter::CellsProcessed, 4096);
+        telemetry::add(Counter::StepPowerCycleNs, 2'500'000'000);
     }
     telemetry::CampaignMonitor monitor(gridConfig());
     telemetry::TelemetrySnapshot snap = monitor.latest();
@@ -229,6 +230,12 @@ TEST(Monitor, HeartbeatLineRoundTripsThroughTheReportReader)
     // The line is one strict-JSON object the report layer reads back.
     const report::JsonValue v = report::parseJson(line, "hb", 1);
     EXPECT_EQ(v.find("schema")->text, "voltboot-heartbeat-v1");
+    // Wall-clock step slots render under `wall`, never `counters`.
+    EXPECT_EQ(v.find("counters")->find("wall_ns_attack_step3_power_cycle"),
+              nullptr);
+    const report::JsonValue *steps = v.find("wall")->find("steps_s");
+    ASSERT_NE(steps, nullptr);
+    EXPECT_DOUBLE_EQ(steps->find("attack.step3_power_cycle")->number, 2.5);
 
     const std::string dir = tempDir("hb_roundtrip");
     std::ofstream(dir + "/hb.jsonl") << line << "\n";
@@ -294,7 +301,11 @@ TEST(Monitor, SamplerAppendsHeartbeatsAndAFinalSample)
     telemetry::resetCounters();
     const std::string dir = tempDir("hb_sampler");
     telemetry::MonitorConfig cfg = gridConfig();
-    cfg.heartbeat_path = dir + "/hb.jsonl";
+    cfg.on_sample = [path = dir + "/hb.jsonl"](
+                        const telemetry::CampaignMonitor &monitor,
+                        const telemetry::TelemetrySnapshot &snap) {
+        std::ofstream(path, std::ios::app) << monitor.heartbeatLine(snap);
+    };
     {
         telemetry::CampaignMonitor monitor(cfg);
         monitor.start();

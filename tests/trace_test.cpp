@@ -2,7 +2,7 @@
  * @file
  * Observability-layer tests: Arg/JSON rendering, sink installation and
  * nesting, event ordering, JSONL and Chrome trace-event serialization,
- * the off-path being a no-op, metrics snapshot determinism, and the
+ * the off-path being a no-op, metrics summary determinism, and the
  * big determinism contract — a traced attack emits the documented
  * events and a traced campaign produces byte-identical per-trial files
  * at any job count.
@@ -27,6 +27,7 @@
 #include "core/attack.hh"
 #include "sim/rng.hh"
 #include "soc/soc.hh"
+#include "telemetry/counters.hh"
 #include "trace/metrics.hh"
 #include "trace/trace.hh"
 
@@ -87,7 +88,6 @@ TEST(TraceOff, DisabledByDefaultAndEmitIsNoOp)
     trace::Span span("core", "inert");
     span.arg({"k", 1});
     span.end();
-    EXPECT_EQ(trace::metricsRegistry(), nullptr);
 }
 
 // --- scopes, ordering, spans -----------------------------------------
@@ -237,61 +237,44 @@ TEST(TraceSerialize, JsonlFileSinkMatchesSerializer)
     EXPECT_EQ(readFile(path), trace::toJsonl(memory.events()));
 }
 
-// --- metrics ---------------------------------------------------------
+// --- metrics summaries -----------------------------------------------
 
 TEST(Metrics, CountersGaugesHistograms)
 {
-    trace::Metrics m;
-    m.add("runs");
-    m.add("runs", 2.0);
-    m.set("jobs", 4.0);
-    m.set("jobs", 2.0); // last write wins
-    for (double v : {5.0, 1.0, 3.0, 2.0, 4.0})
-        m.observe("wall_s", v);
+    trace::MetricsSnapshot s;
+    s.counters["runs"] = 3.0;
+    s.gauges["jobs"] = 2.0;
+    s.histograms["wall_s"] = trace::summarize({5.0, 1.0, 3.0, 2.0, 4.0});
 
-    const trace::MetricsSnapshot s = m.snapshot();
-    EXPECT_DOUBLE_EQ(s.counters.at("runs"), 3.0);
-    EXPECT_DOUBLE_EQ(s.gauges.at("jobs"), 2.0);
     const trace::HistogramSummary &h = s.histograms.at("wall_s");
     EXPECT_EQ(h.count, 5u);
     EXPECT_DOUBLE_EQ(h.mean, 3.0);
     EXPECT_DOUBLE_EQ(h.min, 1.0);
     EXPECT_DOUBLE_EQ(h.max, 5.0);
     EXPECT_DOUBLE_EQ(h.p50, 3.0);
+    const std::string json = s.toJson();
+    EXPECT_NE(json.find("\"runs\": 3"), std::string::npos);
+    EXPECT_NE(json.find("\"jobs\": 2"), std::string::npos);
+    EXPECT_NE(json.find("\"wall_s\": {\"count\": 5"), std::string::npos);
 }
 
 TEST(Metrics, SnapshotIsObservationOrderIndependent)
 {
-    trace::Metrics a, b;
-    const std::vector<double> samples = {0.25, 4.0, 1.5, 0.75, 2.0};
-    for (double v : samples)
-        a.observe("h", v);
-    for (auto it = samples.rbegin(); it != samples.rend(); ++it)
-        b.observe("h", *it);
-    a.add("c", 1.0);
-    a.add("c", 2.0);
-    b.add("c", 2.0);
-    b.add("c", 1.0);
+    const std::vector<double> samples = {0.25, 4.0, 1.5, 0.75, 2.0, 0.1};
+    const std::vector<double> reversed(samples.rbegin(), samples.rend());
+    trace::MetricsSnapshot a, b;
+    a.histograms["h"] = trace::summarize(samples);
+    b.histograms["h"] = trace::summarize(reversed);
     EXPECT_EQ(a.toJson(), b.toJson());
 }
 
 TEST(Metrics, EmptySnapshotReportsEmpty)
 {
-    trace::Metrics m;
-    EXPECT_TRUE(m.snapshot().empty());
-    m.add("c");
-    EXPECT_FALSE(m.snapshot().empty());
-}
-
-TEST(Metrics, ScopeInstallsAndRestores)
-{
-    trace::Metrics m;
-    EXPECT_EQ(trace::metricsRegistry(), nullptr);
-    {
-        trace::MetricsScope scope(&m);
-        EXPECT_EQ(trace::metricsRegistry(), &m);
-    }
-    EXPECT_EQ(trace::metricsRegistry(), nullptr);
+    trace::MetricsSnapshot m;
+    EXPECT_TRUE(m.empty());
+    EXPECT_EQ(trace::summarize({}).count, 0u);
+    m.counters["c"] = 1.0;
+    EXPECT_FALSE(m.empty());
 }
 
 // --- the attack stack emits the documented events --------------------
@@ -299,10 +282,11 @@ TEST(Metrics, ScopeInstallsAndRestores)
 TEST(TraceIntegration, AttackRunEmitsLayerEvents)
 {
     trace::MemoryTraceSink sink;
-    trace::Metrics metrics;
+    telemetry::CounterTotals spent;
     {
         trace::Scope scope(sink);
-        trace::MetricsScope metrics_scope(&metrics);
+        telemetry::WorkerScope counters;
+        const telemetry::CounterTotals before = telemetry::threadTotals();
         Soc soc(socConfigFor("pi4"));
         soc.powerOn();
         VoltBootAttack attack(soc);
@@ -310,6 +294,7 @@ TEST(TraceIntegration, AttackRunEmitsLayerEvents)
         ASSERT_TRUE(out.rebooted_into_attacker_code)
             << out.failure_reason;
         attack.dumpL1(0, L1Ram::DData);
+        spent = telemetry::threadTotals().since(before);
     }
 
     auto has = [&](const char *cat, const std::string &name) {
@@ -336,11 +321,12 @@ TEST(TraceIntegration, AttackRunEmitsLayerEvents)
         last = e.ts.seconds();
     }
 
-    // Wall-clock step costs landed in the metrics registry, not the
-    // trace.
-    const trace::MetricsSnapshot s = metrics.snapshot();
-    EXPECT_EQ(s.histograms.count("core.wall_s.attack.step3_power_cycle"),
-              1u);
+    // Wall-clock step costs landed in the step's telemetry slot, not
+    // the trace.
+    EXPECT_GT(spent.get(telemetry::Counter::StepPowerCycleNs), 0u);
+    for (const trace::TraceEvent &e : sink.events())
+        for (const trace::Arg &a : e.args)
+            EXPECT_EQ(a.key.find("wall"), std::string::npos) << e.name;
 
     // The same events load as a Chrome trace document.
     const std::string chrome = trace::toChromeTrace(sink.events());

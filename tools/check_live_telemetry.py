@@ -13,7 +13,10 @@ JSONL stream, and the sweep result JSON, checks that:
   - every heartbeat line parses, sequence numbers are contiguous from
     1, exactly the last line carries `"final": true`, and its progress
     counts match the sweep result's summary exactly (the sweep ran to
-    completion, so there is no one-interval slack to allow).
+    completion, so there is no one-interval slack to allow),
+  - the final heartbeat keeps its provenance split: its clock-
+    independent `counters` block holds no wall-clock slot, and its
+    `wall` block reports a positive `attack.step3_power_cycle` total.
 
 Usage:
   tools/check_live_telemetry.py SCRAPE1 SCRAPE2 PROGRESS_JSON \
@@ -122,6 +125,17 @@ def main():
         if last[key] != want:
             fail(f"final heartbeat {key}={last[key]} but sweep "
                  f"summary implies {want}")
+
+    final = beats[-1]
+    wall_slots = [k for k in final["counters"] if k.startswith("wall_")]
+    if wall_slots:
+        fail(f"final heartbeat counters block holds wall-clock slots "
+             f"{wall_slots}")
+    step3 = final["wall"].get("steps_s", {}).get(
+        "attack.step3_power_cycle", 0)
+    if not step3 > 0:
+        fail(f"final heartbeat wall block reports "
+             f"attack.step3_power_cycle={step3}; expected > 0")
 
     print(f"check_live_telemetry: OK — {len(beats)} heartbeats, "
           f"final counts match the sweep result; scrapes well-formed "

@@ -25,7 +25,7 @@
  *                             bit-exact, see docs/PERFORMANCE.md)
  *   --trace FILE              write a JSONL event trace
  *   --trace-chrome FILE       write a chrome://tracing / Perfetto trace
- *   --metrics FILE            write the wall-clock metrics snapshot
+ *   --metrics FILE            write the attack steps' wall-clock totals
  *
  * Sweep options:
  *   --grid SPEC|FILE          sweep grid (see docs/CAMPAIGN.md)
@@ -38,13 +38,18 @@
  *   --timing                  include wall-clock section in the JSON
  *   --trace-dir DIR           one deterministic JSONL trace per trial
  *                             (plus a non-canonical progress.jsonl)
- *   --metrics FILE            write the engine metrics snapshot
+ *   --metrics FILE            write the engine metrics snapshot (jobs,
+ *                             queue grabs, trial wall-time histogram,
+ *                             per-step wall-clock totals)
  *   --metrics-port N          live /metrics | /healthz | /progress HTTP
  *                             endpoints while the sweep runs (0 picks an
  *                             ephemeral port, printed at startup)
  *   --heartbeat FILE          append one telemetry JSONL line per
- *                             sampling interval (crash-tolerant)
- *   --telemetry-interval S    sampler cadence (default 1 s)
+ *                             sampling interval (crash-tolerant); an
+ *                             unwritable path is a usage error
+ *   --telemetry-interval S    cadence of every progress surface: the
+ *                             stderr line, heartbeat lines and the
+ *                             progress.jsonl samples (default 1 s)
  *   --retention-path PATH     retention kernel, as for attack/coldboot
  *
  * Trace files are deterministic (simulation-time stamps only); metrics
@@ -57,6 +62,7 @@
 #include <atomic>
 #include <charconv>
 #include <csignal>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -227,10 +233,11 @@ parse(int argc, char **argv, int first)
 }
 
 /**
- * Run @p body under this thread's trace/metrics scopes when any of the
- * observability flags were given, then write the requested files. The
- * trace files carry only simulation-time stamps and are deterministic;
- * the metrics file is wall-clock derived and is not.
+ * Run @p body under this thread's trace scope and a telemetry
+ * WorkerScope when any of the observability flags were given, then
+ * write the requested files. The trace files carry only
+ * simulation-time stamps and are deterministic; the metrics file (the
+ * attack steps' wall-clock totals) is not.
  */
 int
 withObservability(const Options &o, const std::function<int()> &body)
@@ -239,12 +246,15 @@ withObservability(const Options &o, const std::function<int()> &body)
         return body();
 
     trace::MemoryTraceSink sink;
-    trace::Metrics metrics;
+    trace::MetricsSnapshot metrics;
     int rc;
     {
         trace::Scope scope(sink);
-        trace::MetricsScope metrics_scope(&metrics);
+        telemetry::WorkerScope counters;
+        const telemetry::CounterTotals before = telemetry::threadTotals();
         rc = body();
+        metrics.counters = telemetry::stepWallSeconds(
+            telemetry::threadTotals().since(before));
     }
     if (!o.trace.empty()) {
         CampaignResult::writeFile(o.trace, trace::toJsonl(sink.events()));
@@ -257,7 +267,7 @@ withObservability(const Options &o, const std::function<int()> &body)
         std::cout << "wrote " << o.trace_chrome << "\n";
     }
     if (!o.metrics.empty())
-        writeOutput(o.metrics, metrics.snapshot().toJson() + "\n");
+        writeOutput(o.metrics, metrics.toJson() + "\n");
     return rc;
 }
 
@@ -555,66 +565,81 @@ cmdSweep(const SweepOptions &o)
     if (!o.attack.empty())
         grid.attacks = {attackFromString(o.attack)};
 
+    // Fail before the sweep, not silently during it, when the
+    // heartbeat stream cannot be appended to.
+    if (!o.heartbeat.empty()) {
+        std::FILE *f = std::fopen(o.heartbeat.c_str(), "a");
+        if (f == nullptr)
+            usageFatal("cannot open --heartbeat file '", o.heartbeat,
+                       "' for appending");
+        std::fclose(f);
+    }
+
     CampaignConfig cfg;
     cfg.jobs = o.jobs;
     cfg.seed = o.seed;
     cfg.trace_dir = o.trace_dir;
     const bool tracing = !o.trace_dir.empty();
-    // Campaign progress doubles as a counter-event source: with a
-    // trace dir, each report lands as `campaign/progress.*` Counter
-    // events in <trace-dir>/progress.jsonl. The stream is wall-clock
-    // timed and non-canonical; per-trial traces stay deterministic.
-    std::vector<trace::TraceEvent> progress_events;
-    if (!o.quiet || tracing) {
-        // Report every progress_every trials and at least every two
-        // seconds, so slow grids (imx53 iRAM) still show life.
-        cfg.progress_interval = Seconds(2.0);
-        cfg.progress = [&progress_events, quiet = o.quiet,
-                        tracing](const CampaignProgress &p) {
-            if (tracing) {
-                // Serialized by the campaign's progress lock.
-                auto counterEvent = [&](const char *name, double v) {
-                    trace::TraceEvent ev;
-                    ev.phase = trace::Phase::Counter;
-                    ev.category = "campaign";
-                    ev.name = name;
-                    ev.ts = Seconds(p.elapsed_s);
-                    ev.args.push_back(
-                        {"v", v});
-                    progress_events.push_back(std::move(ev));
-                };
-                counterEvent("progress.done",
-                             static_cast<double>(p.done));
-                counterEvent("progress.trials_per_sec",
-                             p.trials_per_sec);
-                counterEvent("progress.eta_s", p.eta_s);
-            }
-            if (!quiet) {
-                std::fprintf(
-                    stderr,
-                    "\r%llu/%llu trials  %.1f trials/s  ETA %.0fs ",
-                    static_cast<unsigned long long>(p.done),
-                    static_cast<unsigned long long>(p.total),
-                    p.trials_per_sec, p.eta_s);
-                if (p.done == p.total)
-                    std::fprintf(stderr, "\n");
-            }
-        };
-    }
 
-    // Live telemetry: sampler + optional heartbeat stream + optional
-    // /metrics endpoint. Counters are process-wide, so start from zero
-    // for this sweep.
+    // Live telemetry: one sampler feeds every progress surface — the
+    // heartbeat stream, the stderr status line, the `campaign/
+    // progress.*` Counter events of <trace-dir>/progress.jsonl (wall-
+    // clock timed and non-canonical; per-trial traces stay
+    // deterministic), and the /metrics + /progress endpoints. Counters
+    // are process-wide, so start from zero for this sweep.
     telemetry::resetCounters();
+    std::vector<trace::TraceEvent> progress_events;
     telemetry::MonitorConfig mcfg;
     mcfg.interval_s = o.telemetry_interval_s;
     mcfg.total_trials = grid.size();
     mcfg.campaign_seed = o.seed;
     mcfg.grid_spec = grid.describe();
     mcfg.axes = monitorAxes(grid);
-    mcfg.heartbeat_path = o.heartbeat;
+    mcfg.on_sample = [&o, &progress_events, tracing](
+                         const telemetry::CampaignMonitor &monitor,
+                         const telemetry::TelemetrySnapshot &snap) {
+        const uint64_t done =
+            snap.totals.get(telemetry::Counter::TrialsCompleted) +
+            snap.totals.get(telemetry::Counter::TrialsSkipped);
+        const uint64_t total = monitor.config().total_trials;
+        if (!o.heartbeat.empty()) {
+            // Append + flush per line: a SIGKILLed sweep keeps every
+            // completed sample. Opened per write so the path stays
+            // valid even if the file is rotated away mid-campaign.
+            const std::string line = monitor.heartbeatLine(snap);
+            if (std::FILE *f = std::fopen(o.heartbeat.c_str(), "a")) {
+                std::fwrite(line.data(), 1, line.size(), f);
+                std::fclose(f);
+            }
+        }
+        if (tracing) {
+            auto counterEvent = [&](const char *name, double v) {
+                trace::TraceEvent ev;
+                ev.phase = trace::Phase::Counter;
+                ev.category = "campaign";
+                ev.name = name;
+                ev.ts = Seconds(snap.elapsed_s);
+                ev.args.push_back({"v", v});
+                progress_events.push_back(std::move(ev));
+            };
+            counterEvent("progress.done", static_cast<double>(done));
+            counterEvent("progress.trials_per_sec",
+                         snap.trials_per_sec_ewma);
+            counterEvent("progress.eta_s", snap.eta_s);
+        }
+        if (!o.quiet) {
+            std::fprintf(stderr,
+                         "\r%llu/%llu trials  %.1f trials/s  ETA %.0fs ",
+                         static_cast<unsigned long long>(done),
+                         static_cast<unsigned long long>(total),
+                         snap.trials_per_sec_ewma, snap.eta_s);
+            if (snap.final_sample)
+                std::fprintf(stderr, "\n");
+        }
+    };
     telemetry::CampaignMonitor monitor(mcfg);
-    const bool monitoring = o.metrics_port >= 0 || !o.heartbeat.empty();
+    const bool monitoring = !o.quiet || tracing || o.metrics_port >= 0 ||
+                            !o.heartbeat.empty();
     if (monitoring)
         monitor.start();
 
@@ -654,7 +679,7 @@ cmdSweep(const SweepOptions &o)
     std::signal(SIGTERM, SIG_DFL);
     g_signal_campaign.store(nullptr, std::memory_order_relaxed);
 
-    // Final sample + heartbeat (flagged `"final": true`) before any
+    // Final sample (heartbeat flagged `"final": true`) before any
     // result files are written, so a consumer tailing the stream sees
     // the end of the run as soon as the campaign is over.
     if (monitoring)
