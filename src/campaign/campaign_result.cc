@@ -1,6 +1,9 @@
 #include "campaign/campaign_result.hh"
 
+#include <algorithm>
 #include <fstream>
+#include <string_view>
+#include <type_traits>
 
 #include "sim/logging.hh"
 #include "trace/trace.hh"
@@ -11,13 +14,7 @@ namespace voltboot
 const char *
 toString(TrialStatus status)
 {
-    switch (status) {
-      case TrialStatus::Ok: return "ok";
-      case TrialStatus::AttackFailed: return "attack_failed";
-      case TrialStatus::Error: return "error";
-      case TrialStatus::Skipped: return "skipped";
-    }
-    panic("bad TrialStatus");
+    return kStatusNames.at(static_cast<size_t>(status));
 }
 
 CampaignSummary
@@ -129,10 +126,46 @@ jsonString(const std::string &s)
     return trace::jsonQuote(s);
 }
 
-const char *
-jsonBool(bool b)
+/** One record value, rendered for JSON or (@p csv) for CSV. */
+template <class T>
+std::string
+renderValue(const T &v, bool csv)
 {
-    return b ? "true" : "false";
+    if constexpr (std::is_same_v<T, uint64_t>)
+        return std::to_string(v);
+    else if constexpr (std::is_same_v<T, double>)
+        return jsonNumber(v);
+    else if constexpr (std::is_same_v<T, bool>)
+        return csv ? (v ? "1" : "0") : (v ? "true" : "false");
+    // Free text (effect lists join with commas, failure details may say
+    // anything): RFC 4180 quoting keeps one row per trial and
+    // round-trips through splitCsvRow().
+    else if constexpr (std::is_same_v<T, std::string>)
+        return csv ? csvEscape(v) : jsonString(v);
+    else
+        return csv ? toString(v) : jsonString(toString(v));
+}
+
+/** Column @p c of record @p r, rendered for JSON or CSV. */
+std::string
+renderCell(const RecordColumn &c, const TrialRecord &r, bool csv)
+{
+    return std::visit(
+        [&](const auto &m) { return renderValue(m.of(r), csv); }, c.member);
+}
+
+/** CSV column order: JSON order with the free-text `detail` last. */
+std::vector<const RecordColumn *>
+csvColumns()
+{
+    std::vector<const RecordColumn *> cols;
+    for (const RecordColumn &c : kRecordColumns)
+        cols.push_back(&c);
+    std::stable_partition(cols.begin(), cols.end(),
+                          [](const RecordColumn *c) {
+                              return std::string_view(c->name) != "detail";
+                          });
+    return cols;
 }
 
 } // namespace
@@ -182,66 +215,14 @@ CampaignResult::toJson(bool include_timing) const
     out += "  },\n";
     out += "  \"records\": [\n";
     for (size_t i = 0; i < records.size(); ++i) {
-        const TrialRecord &r = records[i];
-        out += "    {\"index\": " + std::to_string(r.spec.index);
-        out += ", \"board\": " + jsonString(r.spec.board);
-        out += ", \"target\": " + jsonString(toString(r.spec.target));
-        out += ", \"attack\": " + jsonString(toString(r.spec.attack));
-        out += ", \"temp_c\": " + jsonNumber(r.spec.temp_c);
-        out += ", \"off_ms\": " + jsonNumber(r.spec.off_ms);
-        out += ", \"current_a\": " + jsonNumber(r.spec.current_a);
-        out += ", \"impedance_mohm\": " +
-               jsonNumber(r.spec.impedance_mohm);
-        out += ", \"seed_index\": " + std::to_string(r.spec.seed_index);
-        out += ", \"glitch_off_ns\": " + jsonNumber(r.spec.glitch_off_ns);
-        out += ", \"glitch_width_ns\": " +
-               jsonNumber(r.spec.glitch_width_ns);
-        out += ", \"glitch_depth_v\": " +
-               jsonNumber(r.spec.glitch_depth_v);
-        out += ", \"undervolt_depth_v\": " +
-               jsonNumber(r.spec.undervolt_depth_v);
-        out += ", \"hold_ns\": " + jsonNumber(r.spec.hold_ns);
-        out += ", \"readout_rate\": " + jsonNumber(r.spec.readout_rate);
-        out += ", \"cpa_window_ns\": " + jsonNumber(r.spec.cpa_window_ns);
-        out += ", \"dump_count\": " + std::to_string(r.spec.dump_count);
-        out += ", \"use_priors\": ";
-        out += jsonBool(r.spec.use_priors);
-        out += ", \"chip_seed\": " + std::to_string(r.chip_seed);
-        out += ", \"status\": " + jsonString(toString(r.status));
-        out += ", \"detail\": " + jsonString(r.detail);
-        out += ", \"probe_attached\": ";
-        out += jsonBool(r.probe_attached);
-        out += ", \"booted\": ";
-        out += jsonBool(r.booted);
-        out += ", \"dump_bytes\": " + std::to_string(r.dump_bytes);
-        out += ", \"accuracy\": " + jsonNumber(r.accuracy);
-        out += ", \"bit_error_rate\": " + jsonNumber(r.bit_error_rate);
-        out += ", \"key_planted\": ";
-        out += jsonBool(r.key_planted);
-        out += ", \"key_found\": ";
-        out += jsonBool(r.key_found);
-        out += ", \"key_exact\": ";
-        out += jsonBool(r.key_exact);
-        out += ", \"glitch_faults\": " + std::to_string(r.glitch_faults);
-        out += ", \"glitch_effect\": " + jsonString(r.glitch_effect);
-        out += ", \"glitch_bypassed\": ";
-        out += jsonBool(r.glitch_bypassed);
-        out += ", \"se_frozen\": ";
-        out += jsonBool(r.se_frozen);
-        out += ", \"se_zeroized\": ";
-        out += jsonBool(r.se_zeroized);
-        out += ", \"se_read_fraction\": " + jsonNumber(r.se_read_fraction);
-        out += ", \"cpa_recovered\": " + std::to_string(r.cpa_recovered);
-        out += ", \"kr_scan_hits\": " + std::to_string(r.kr_scan_hits);
-        out += ", \"kr_corrected_hits\": " +
-               std::to_string(r.kr_corrected_hits);
-        out += ", \"kr_bit_errors\": " + std::to_string(r.kr_bit_errors);
-        out += ", \"kr_key_bits_flipped\": " +
-               std::to_string(r.kr_key_bits_flipped);
-        out += ", \"kr_correction_iterations\": " +
-               std::to_string(r.kr_correction_iterations);
-        out += ", \"kr_disagreeing_bits\": " +
-               std::to_string(r.kr_disagreeing_bits);
+        out += "    {";
+        for (const RecordColumn &c : kRecordColumns) {
+            if (&c != kRecordColumns)
+                out += ", ";
+            out += '"';
+            out += c.name;
+            out += "\": " + renderCell(c, records[i], false);
+        }
         out += "}";
         out += (i + 1 < records.size()) ? ",\n" : "\n";
     }
@@ -263,63 +244,19 @@ CampaignResult::toJson(bool include_timing) const
 std::string
 CampaignResult::toCsv() const
 {
-    std::string out =
-        "index,board,target,attack,temp_c,off_ms,current_a,"
-        "impedance_mohm,seed_index,glitch_off_ns,glitch_width_ns,"
-        "glitch_depth_v,undervolt_depth_v,hold_ns,readout_rate,"
-        "cpa_window_ns,dump_count,use_priors,chip_seed,status,"
-        "probe_attached,booted,dump_bytes,accuracy,bit_error_rate,"
-        "key_planted,key_found,key_exact,glitch_faults,glitch_effect,"
-        "glitch_bypassed,se_frozen,se_zeroized,se_read_fraction,"
-        "cpa_recovered,kr_scan_hits,kr_corrected_hits,kr_bit_errors,"
-        "kr_key_bits_flipped,kr_correction_iterations,"
-        "kr_disagreeing_bits,detail\n";
+    const std::vector<const RecordColumn *> cols = csvColumns();
+    std::string out;
+    for (const RecordColumn *c : cols) {
+        out += c == cols.front() ? "" : ",";
+        out += c->name;
+    }
+    out += '\n';
     for (const TrialRecord &r : records) {
-        out += std::to_string(r.spec.index) + ',';
-        out += csvEscape(r.spec.board) + ',';
-        out += std::string(toString(r.spec.target)) + ',';
-        out += std::string(toString(r.spec.attack)) + ',';
-        out += jsonNumber(r.spec.temp_c) + ',';
-        out += jsonNumber(r.spec.off_ms) + ',';
-        out += jsonNumber(r.spec.current_a) + ',';
-        out += jsonNumber(r.spec.impedance_mohm) + ',';
-        out += std::to_string(r.spec.seed_index) + ',';
-        out += jsonNumber(r.spec.glitch_off_ns) + ',';
-        out += jsonNumber(r.spec.glitch_width_ns) + ',';
-        out += jsonNumber(r.spec.glitch_depth_v) + ',';
-        out += jsonNumber(r.spec.undervolt_depth_v) + ',';
-        out += jsonNumber(r.spec.hold_ns) + ',';
-        out += jsonNumber(r.spec.readout_rate) + ',';
-        out += jsonNumber(r.spec.cpa_window_ns) + ',';
-        out += std::to_string(r.spec.dump_count) + ',';
-        out += std::to_string(r.spec.use_priors) + ',';
-        out += std::to_string(r.chip_seed) + ',';
-        out += std::string(toString(r.status)) + ',';
-        out += std::to_string(r.probe_attached) + ',';
-        out += std::to_string(r.booted) + ',';
-        out += std::to_string(r.dump_bytes) + ',';
-        out += jsonNumber(r.accuracy) + ',';
-        out += jsonNumber(r.bit_error_rate) + ',';
-        out += std::to_string(r.key_planted) + ',';
-        out += std::to_string(r.key_found) + ',';
-        out += std::to_string(r.key_exact) + ',';
-        out += std::to_string(r.glitch_faults) + ',';
-        // Free-text fields (effect lists join with commas, failure
-        // details may say anything): RFC 4180 quoting keeps one row
-        // per trial and round-trips through splitCsvRow().
-        out += csvEscape(r.glitch_effect) + ',';
-        out += std::to_string(r.glitch_bypassed) + ',';
-        out += std::to_string(r.se_frozen) + ',';
-        out += std::to_string(r.se_zeroized) + ',';
-        out += jsonNumber(r.se_read_fraction) + ',';
-        out += std::to_string(r.cpa_recovered) + ',';
-        out += std::to_string(r.kr_scan_hits) + ',';
-        out += std::to_string(r.kr_corrected_hits) + ',';
-        out += std::to_string(r.kr_bit_errors) + ',';
-        out += std::to_string(r.kr_key_bits_flipped) + ',';
-        out += std::to_string(r.kr_correction_iterations) + ',';
-        out += std::to_string(r.kr_disagreeing_bits) + ',';
-        out += csvEscape(r.detail) + '\n';
+        for (const RecordColumn *c : cols) {
+            out += c == cols.front() ? "" : ",";
+            out += renderCell(*c, r, true);
+        }
+        out += '\n';
     }
     return out;
 }

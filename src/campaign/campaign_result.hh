@@ -18,8 +18,10 @@
 #ifndef VOLTBOOT_CAMPAIGN_CAMPAIGN_RESULT_HH
 #define VOLTBOOT_CAMPAIGN_CAMPAIGN_RESULT_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "campaign/sweep_grid.hh"
@@ -37,6 +39,12 @@ enum class TrialStatus
     Error,        ///< The trial threw; detail carries the message.
     Skipped,      ///< Campaign aborted before this trial started.
 };
+
+/** Record name of each TrialStatus, indexed by its value. */
+inline constexpr std::array<const char *, 4> kStatusNames = {
+    "ok", "attack_failed", "error", "skipped"};
+static_assert(kStatusNames.size() ==
+              static_cast<size_t>(TrialStatus::Skipped) + 1);
 
 const char *toString(TrialStatus status);
 
@@ -102,6 +110,108 @@ struct TrialRecord
 
     /** Wall-clock cost; timing only, never in canonical output. */
     double duration_s = 0.0;
+};
+
+/** A TrialRecord member of type T, held directly or by its spec. */
+template <class T>
+struct RecordMember
+{
+    T TrialSpec::*spec = nullptr;
+    T TrialRecord::*record = nullptr;
+
+    T &of(TrialRecord &r) const { return spec ? r.spec.*spec : r.*record; }
+    const T &
+    of(const TrialRecord &r) const
+    {
+        return spec ? r.spec.*spec : r.*record;
+    }
+};
+
+/**
+ * One column of a trial record: its JSON key and CSV header, the member
+ * it carries (whose type is the value's kind), and whether a reader
+ * requires it.
+ */
+struct RecordColumn
+{
+    /** Optional columns postdate the v1 schema: sweeps written before
+     * their attack family lack them, and they read back as the
+     * TrialRecord default. */
+    enum Use { Required, Optional };
+
+    template <class T>
+    constexpr RecordColumn(const char *n, T TrialSpec::*m, Use u = Required)
+        : name(n), member(RecordMember<T>{m, nullptr}), use(u)
+    {}
+    template <class T>
+    constexpr RecordColumn(const char *n, T TrialRecord::*m, Use u = Required)
+        : name(n), member(RecordMember<T>{nullptr, m}), use(u)
+    {}
+
+    const char *name;
+    std::variant<RecordMember<uint64_t>, RecordMember<double>,
+                 RecordMember<bool>, RecordMember<std::string>,
+                 RecordMember<TargetRam>, RecordMember<AttackKind>,
+                 RecordMember<TrialStatus>>
+        member;
+    Use use;
+};
+
+/**
+ * The trial-record columns, in JSON order; CSV moves the free-text
+ * `detail` last. Adding a column is one row here plus its TrialRecord
+ * (or TrialSpec) member; the writers and the report reader follow.
+ */
+inline constexpr RecordColumn kRecordColumns[] = {
+    {"index", &TrialSpec::index},
+    {"board", &TrialSpec::board},
+    {"target", &TrialSpec::target},
+    {"attack", &TrialSpec::attack},
+    {"temp_c", &TrialSpec::temp_c},
+    {"off_ms", &TrialSpec::off_ms},
+    {"current_a", &TrialSpec::current_a},
+    {"impedance_mohm", &TrialSpec::impedance_mohm},
+    {"seed_index", &TrialSpec::seed_index},
+    {"glitch_off_ns", &TrialSpec::glitch_off_ns, RecordColumn::Optional},
+    {"glitch_width_ns", &TrialSpec::glitch_width_ns, RecordColumn::Optional},
+    {"glitch_depth_v", &TrialSpec::glitch_depth_v, RecordColumn::Optional},
+    {"undervolt_depth_v", &TrialSpec::undervolt_depth_v,
+     RecordColumn::Optional},
+    {"hold_ns", &TrialSpec::hold_ns, RecordColumn::Optional},
+    {"readout_rate", &TrialSpec::readout_rate, RecordColumn::Optional},
+    {"cpa_window_ns", &TrialSpec::cpa_window_ns, RecordColumn::Optional},
+    {"dump_count", &TrialSpec::dump_count, RecordColumn::Optional},
+    {"use_priors", &TrialSpec::use_priors, RecordColumn::Optional},
+    {"chip_seed", &TrialRecord::chip_seed},
+    {"status", &TrialRecord::status},
+    {"detail", &TrialRecord::detail},
+    {"probe_attached", &TrialRecord::probe_attached},
+    {"booted", &TrialRecord::booted},
+    {"dump_bytes", &TrialRecord::dump_bytes},
+    {"accuracy", &TrialRecord::accuracy},
+    {"bit_error_rate", &TrialRecord::bit_error_rate},
+    {"key_planted", &TrialRecord::key_planted},
+    {"key_found", &TrialRecord::key_found},
+    {"key_exact", &TrialRecord::key_exact},
+    {"glitch_faults", &TrialRecord::glitch_faults, RecordColumn::Optional},
+    {"glitch_effect", &TrialRecord::glitch_effect, RecordColumn::Optional},
+    {"glitch_bypassed", &TrialRecord::glitch_bypassed,
+     RecordColumn::Optional},
+    {"se_frozen", &TrialRecord::se_frozen, RecordColumn::Optional},
+    {"se_zeroized", &TrialRecord::se_zeroized, RecordColumn::Optional},
+    {"se_read_fraction", &TrialRecord::se_read_fraction,
+     RecordColumn::Optional},
+    {"cpa_recovered", &TrialRecord::cpa_recovered, RecordColumn::Optional},
+    {"kr_scan_hits", &TrialRecord::kr_scan_hits, RecordColumn::Optional},
+    {"kr_corrected_hits", &TrialRecord::kr_corrected_hits,
+     RecordColumn::Optional},
+    {"kr_bit_errors", &TrialRecord::kr_bit_errors, RecordColumn::Optional},
+    {"kr_key_bits_flipped", &TrialRecord::kr_key_bits_flipped,
+     RecordColumn::Optional},
+    {"kr_correction_iterations", &TrialRecord::kr_correction_iterations,
+     RecordColumn::Optional},
+    {"kr_disagreeing_bits", &TrialRecord::kr_disagreeing_bits,
+     RecordColumn::Optional},
 };
 
 /** Merged per-campaign statistics. */

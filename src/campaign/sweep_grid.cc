@@ -1,130 +1,15 @@
 #include "campaign/sweep_grid.hh"
 
 #include <charconv>
+#include <cmath>
+#include <map>
 #include <sstream>
+#include <type_traits>
 
 #include "sim/logging.hh"
 
 namespace voltboot
 {
-
-const char *
-toString(AttackKind kind)
-{
-    switch (kind) {
-      case AttackKind::VoltBoot: return "voltboot";
-      case AttackKind::ColdBoot: return "coldboot";
-      case AttackKind::Glitch: return "glitch";
-      case AttackKind::StaticExtract: return "static-extract";
-      case AttackKind::VoltageCoupling: return "voltage-coupling";
-      case AttackKind::KeyRecovery: return "key-recovery";
-    }
-    panic("bad AttackKind");
-}
-
-const char *
-toString(TargetRam target)
-{
-    switch (target) {
-      case TargetRam::DCache: return "dcache";
-      case TargetRam::ICache: return "icache";
-      case TargetRam::Regs: return "regs";
-      case TargetRam::Iram: return "iram";
-      case TargetRam::Tlb: return "tlb";
-      case TargetRam::Btb: return "btb";
-    }
-    panic("bad TargetRam");
-}
-
-AttackKind
-attackFromString(const std::string &name)
-{
-    if (name == "voltboot")
-        return AttackKind::VoltBoot;
-    if (name == "coldboot")
-        return AttackKind::ColdBoot;
-    if (name == "glitch")
-        return AttackKind::Glitch;
-    if (name == "static-extract")
-        return AttackKind::StaticExtract;
-    if (name == "voltage-coupling")
-        return AttackKind::VoltageCoupling;
-    if (name == "key-recovery")
-        return AttackKind::KeyRecovery;
-    fatal("unknown attack '", name,
-          "' (voltboot|coldboot|glitch|static-extract|voltage-coupling|"
-          "key-recovery)");
-}
-
-TargetRam
-targetFromString(const std::string &name)
-{
-    if (name == "dcache")
-        return TargetRam::DCache;
-    if (name == "icache")
-        return TargetRam::ICache;
-    if (name == "regs")
-        return TargetRam::Regs;
-    if (name == "iram")
-        return TargetRam::Iram;
-    if (name == "tlb")
-        return TargetRam::Tlb;
-    if (name == "btb")
-        return TargetRam::Btb;
-    fatal("unknown target '", name,
-          "' (dcache|icache|regs|iram|tlb|btb)");
-}
-
-uint64_t
-SweepGrid::size() const
-{
-    return static_cast<uint64_t>(boards.size()) * targets.size() *
-           attacks.size() * temps_c.size() * offs_ms.size() *
-           currents_a.size() * impedances_mohm.size() *
-           glitch_offs_ns.size() * glitch_widths_ns.size() *
-           glitch_depths_v.size() * undervolt_depths_v.size() *
-           holds_ns.size() * readout_rates.size() *
-           cpa_windows_ns.size() * dump_counts.size() *
-           use_priors.size() * plant_key.size() * seed_count;
-}
-
-TrialSpec
-SweepGrid::at(uint64_t index) const
-{
-    if (index >= size())
-        panic("SweepGrid::at: index ", index, " out of range (size ",
-              size(), ")");
-    TrialSpec spec;
-    spec.index = index;
-    uint64_t rem = index;
-    auto take = [&rem](size_t n) {
-        const uint64_t v = rem % n;
-        rem /= n;
-        return static_cast<size_t>(v);
-    };
-    // Fastest-varying axis first (seed innermost, board outermost).
-    spec.seed_index = take(static_cast<size_t>(seed_count));
-    spec.plant_key = plant_key[take(plant_key.size())];
-    spec.use_priors = use_priors[take(use_priors.size())];
-    spec.dump_count = dump_counts[take(dump_counts.size())];
-    spec.cpa_window_ns = cpa_windows_ns[take(cpa_windows_ns.size())];
-    spec.readout_rate = readout_rates[take(readout_rates.size())];
-    spec.hold_ns = holds_ns[take(holds_ns.size())];
-    spec.undervolt_depth_v =
-        undervolt_depths_v[take(undervolt_depths_v.size())];
-    spec.glitch_depth_v = glitch_depths_v[take(glitch_depths_v.size())];
-    spec.glitch_width_ns =
-        glitch_widths_ns[take(glitch_widths_ns.size())];
-    spec.glitch_off_ns = glitch_offs_ns[take(glitch_offs_ns.size())];
-    spec.impedance_mohm = impedances_mohm[take(impedances_mohm.size())];
-    spec.current_a = currents_a[take(currents_a.size())];
-    spec.off_ms = offs_ms[take(offs_ms.size())];
-    spec.temp_c = temps_c[take(temps_c.size())];
-    spec.attack = attacks[take(attacks.size())];
-    spec.target = targets[take(targets.size())];
-    spec.board = boards[take(boards.size())];
-    return spec;
-}
 
 namespace
 {
@@ -150,65 +35,252 @@ split(const std::string &s, char sep)
     return out;
 }
 
-double
-parseDoubleStrict(const std::string &text, const char *what)
+template <class T>
+T
+parseNumberStrict(const std::string &text, const char *key)
 {
     const std::string t = trim(text);
-    double value = 0.0;
+    T value{};
     const auto [ptr, ec] =
         std::from_chars(t.data(), t.data() + t.size(), value);
     if (ec != std::errc() || ptr != t.data() + t.size())
-        fatal("malformed ", what, " value '", text, "'");
+        fatal("malformed ", key, " value '", text, "'");
     return value;
 }
 
-uint64_t
-parseUintStrict(const std::string &text, const char *what)
+/** One value of axis @p key, parsed by its element type's rule. */
+template <class T>
+T
+parseValue(const std::string &text, const char *key)
 {
-    const std::string t = trim(text);
-    uint64_t value = 0;
-    const auto [ptr, ec] =
-        std::from_chars(t.data(), t.data() + t.size(), value);
-    if (ec != std::errc() || ptr != t.data() + t.size())
-        fatal("malformed ", what, " value '", text, "'");
-    return value;
+    if constexpr (std::is_same_v<T, std::string>) {
+        return trim(text);
+    } else if constexpr (std::is_same_v<T, TargetRam>) {
+        return targetFromString(trim(text));
+    } else if constexpr (std::is_same_v<T, AttackKind>) {
+        return attackFromString(trim(text));
+    } else if constexpr (std::is_same_v<T, double>) {
+        const double v = parseNumberStrict<double>(text, key);
+        if (!std::isfinite(v))
+            fatal("grid key '", key, "' value '", text, "' is not finite");
+        return v;
+    } else if constexpr (std::is_same_v<T, bool>) {
+        const uint64_t v = parseNumberStrict<uint64_t>(text, key);
+        if (v > 1)
+            fatal("grid key '", key, "' takes 0 or 1, got '", text, "'");
+        return v != 0;
+    } else { // counts: dumps, seeds
+        const uint64_t v = parseNumberStrict<uint64_t>(text, key);
+        if (v == 0)
+            fatal("grid key '", key, "' values must be >= 1, got '", text,
+                  "'");
+        return v;
+    }
 }
 
-std::vector<double>
-parseDoubleList(const std::string &text, const char *what)
-{
-    std::vector<double> out;
-    for (const std::string &item : split(text, ','))
-        out.push_back(parseDoubleStrict(item, what));
-    if (out.empty())
-        fatal("empty value list for ", what);
-    return out;
-}
+std::string renderValue(const std::string &v) { return v; }
+std::string renderValue(TargetRam v) { return toString(v); }
+std::string renderValue(AttackKind v) { return toString(v); }
+std::string renderValue(uint64_t v) { return std::to_string(v); }
+std::string renderValue(bool v) { return v ? "1" : "0"; }
 
 /** Shortest round-trip decimal rendering of a double. */
 std::string
-formatDouble(double value)
+renderValue(double v)
 {
     char buf[32];
-    const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value);
+    const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
     if (ec != std::errc())
-        panic("formatDouble: to_chars failed");
+        panic("renderValue: to_chars failed");
     return {buf, ptr};
 }
 
+// --- Per-list rules: a value list, or the seed count whose values are
+// --- the indices 0..count-1 -------------------------------------------
+
+template <class T>
+uint64_t
+listSize(const std::vector<T> &list)
+{
+    return list.size();
+}
+
+uint64_t listSize(uint64_t count) { return count; }
+
+template <class T>
+T
+listAt(const std::vector<T> &list, uint64_t i)
+{
+    return list[i];
+}
+
+uint64_t listAt(uint64_t, uint64_t i) { return i; }
+
+template <class T>
+void
+parseList(std::vector<T> &list, const std::string &value, const char *key)
+{
+    list.clear();
+    for (const std::string &item : split(value, ','))
+        list.push_back(parseValue<T>(item, key));
+}
+
+void
+parseList(uint64_t &count, const std::string &value, const char *key)
+{
+    count = parseValue<uint64_t>(value, key);
+}
+
+template <class T>
 std::string
-joinDoubles(const std::vector<double> &values)
+renderList(const std::vector<T> &list)
 {
     std::string out;
-    for (size_t i = 0; i < values.size(); ++i) {
+    for (size_t i = 0; i < list.size(); ++i) {
         if (i)
             out += ',';
-        out += formatDouble(values[i]);
+        out += renderValue(static_cast<T>(list[i]));
     }
     return out;
 }
 
+std::string renderList(uint64_t count) { return std::to_string(count); }
+
+/** One sweep axis: its spec key, its `--list-axes` documentation, and
+ * how it fills its SweepGrid list and its TrialSpec field. */
+struct Axis
+{
+    const char *key;
+    const char *unit;
+    std::string values; ///< Accepted values, for axesHelp().
+    uint64_t (*size)(const SweepGrid &);
+    void (*apply)(const SweepGrid &, uint64_t i, TrialSpec &);
+    void (*parse)(SweepGrid &, const std::string &value, const char *key);
+    std::string (*render)(const SweepGrid &);
+};
+
+template <auto List, auto Field>
+Axis
+axis(const char *key, const char *unit, std::string values)
+{
+    return {key, unit, std::move(values),
+            [](const SweepGrid &g) { return listSize(g.*List); },
+            [](const SweepGrid &g, uint64_t i, TrialSpec &s) {
+                s.*Field = listAt(g.*List, i);
+            },
+            [](SweepGrid &g, const std::string &value, const char *k) {
+                parseList(g.*List, value, k);
+            },
+            [](const SweepGrid &g) { return renderList(g.*List); }};
+}
+
+/**
+ * Every sweep axis, slowest-varying first: the order of describe(),
+ * axesHelp() and the at() decode. Defaults are SweepGrid's member
+ * initialisers. Adding an axis is one row here plus its SweepGrid list
+ * and TrialSpec field.
+ */
+const std::vector<Axis> &
+axes()
+{
+    static const std::vector<Axis> table = {
+        axis<&SweepGrid::boards, &TrialSpec::board>(
+            "board", "-", "pi3|pi4|imx53"),
+        axis<&SweepGrid::targets, &TrialSpec::target>(
+            "target", "-", joinNames(kTargetNames)),
+        axis<&SweepGrid::attacks, &TrialSpec::attack>(
+            "attack", "-", joinNames(kAttackNames)),
+        axis<&SweepGrid::temps_c, &TrialSpec::temp_c>(
+            "temp", "degC", "ambient temperature list"),
+        axis<&SweepGrid::offs_ms, &TrialSpec::off_ms>(
+            "off-ms", "ms", "power-off time list"),
+        axis<&SweepGrid::currents_a, &TrialSpec::current_a>(
+            "current", "A", "probe current-limit list"),
+        axis<&SweepGrid::impedances_mohm, &TrialSpec::impedance_mohm>(
+            "impedance-mohm", "mohm", "probe source impedance list"),
+        axis<&SweepGrid::glitch_offs_ns, &TrialSpec::glitch_off_ns>(
+            "glitch-off-ns", "ns", "pulse offset from victim entry"),
+        axis<&SweepGrid::glitch_widths_ns, &TrialSpec::glitch_width_ns>(
+            "glitch-width-ns", "ns", "pulse width (0 = no pulse)"),
+        axis<&SweepGrid::glitch_depths_v, &TrialSpec::glitch_depth_v>(
+            "glitch-depth", "V", "droop below nominal (0 = no pulse)"),
+        axis<&SweepGrid::undervolt_depths_v, &TrialSpec::undervolt_depth_v>(
+            "undervolt-depth", "V", "static sag below nominal (0 = no ramp)"),
+        axis<&SweepGrid::holds_ns, &TrialSpec::hold_ns>(
+            "hold-ns", "ns", "undervolt hold time at the floor"),
+        axis<&SweepGrid::readout_rates, &TrialSpec::readout_rate>(
+            "readout-rate", "B/us", "frozen readout bandwidth (0 = unlimited)"),
+        axis<&SweepGrid::cpa_windows_ns, &TrialSpec::cpa_window_ns>(
+            "cpa-window-ns", "ns", "CPA correlation window (0 = full block)"),
+        axis<&SweepGrid::dump_counts, &TrialSpec::dump_count>(
+            "dumps", "count", "power-cycle dumps fused per key-recovery trial"),
+        axis<&SweepGrid::use_priors, &TrialSpec::use_priors>(
+            "prior", "0|1", "guide key correction by DRV decay priors"),
+        axis<&SweepGrid::plant_key, &TrialSpec::plant_key>(
+            "key", "0|1", "plant + scan an AES-128 schedule"),
+        axis<&SweepGrid::seed_count, &TrialSpec::seed_index>(
+            "seeds", "count", "chip-seed replication axis"),
+    };
+    return table;
+}
+
 } // namespace
+
+const char *
+toString(AttackKind kind)
+{
+    return kAttackNames.at(static_cast<size_t>(kind));
+}
+
+const char *
+toString(TargetRam target)
+{
+    return kTargetNames.at(static_cast<size_t>(target));
+}
+
+AttackKind
+attackFromString(const std::string &name)
+{
+    if (const auto kind = enumFromName<AttackKind>(kAttackNames, name))
+        return *kind;
+    fatal("unknown attack '", name, "' (", joinNames(kAttackNames), ")");
+}
+
+TargetRam
+targetFromString(const std::string &name)
+{
+    if (const auto target = enumFromName<TargetRam>(kTargetNames, name))
+        return *target;
+    fatal("unknown target '", name, "' (", joinNames(kTargetNames), ")");
+}
+
+uint64_t
+SweepGrid::size() const
+{
+    uint64_t n = 1;
+    for (const Axis &a : axes())
+        n *= a.size(*this);
+    return n;
+}
+
+TrialSpec
+SweepGrid::at(uint64_t index) const
+{
+    if (index >= size())
+        panic("SweepGrid::at: index ", index, " out of range (size ",
+              size(), ")");
+    TrialSpec spec;
+    spec.index = index;
+    uint64_t rem = index;
+    // Fastest-varying axis first (seed innermost, board outermost).
+    const std::vector<Axis> &table = axes();
+    for (auto a = table.rbegin(); a != table.rend(); ++a) {
+        const uint64_t n = a->size(*this);
+        a->apply(*this, rem % n, spec);
+        rem /= n;
+    }
+    return spec;
+}
 
 SweepGrid
 SweepGrid::parse(const std::string &spec)
@@ -221,6 +293,7 @@ SweepGrid::parse(const std::string &spec)
         flat += line.substr(0, hash);
         flat += ';';
     }
+    std::map<std::string, std::string> seen;
     for (const std::string &raw : split(flat, ';')) {
         const std::string entry = trim(raw);
         if (entry.empty())
@@ -232,79 +305,20 @@ SweepGrid::parse(const std::string &spec)
         const std::string value = entry.substr(eq + 1);
         if (trim(value).empty())
             fatal("empty value list for grid key '", key, "'");
-        if (key == "board") {
-            grid.boards.clear();
-            for (const std::string &b : split(value, ','))
-                grid.boards.push_back(trim(b));
-        } else if (key == "target") {
-            grid.targets.clear();
-            for (const std::string &t : split(value, ','))
-                grid.targets.push_back(targetFromString(trim(t)));
-        } else if (key == "attack") {
-            grid.attacks.clear();
-            for (const std::string &a : split(value, ','))
-                grid.attacks.push_back(attackFromString(trim(a)));
-        } else if (key == "temp") {
-            grid.temps_c = parseDoubleList(value, "temp");
-        } else if (key == "off-ms") {
-            grid.offs_ms = parseDoubleList(value, "off-ms");
-        } else if (key == "current") {
-            grid.currents_a = parseDoubleList(value, "current");
-        } else if (key == "impedance-mohm") {
-            grid.impedances_mohm =
-                parseDoubleList(value, "impedance-mohm");
-        } else if (key == "glitch-off-ns") {
-            grid.glitch_offs_ns = parseDoubleList(value, "glitch-off-ns");
-        } else if (key == "glitch-width-ns") {
-            grid.glitch_widths_ns =
-                parseDoubleList(value, "glitch-width-ns");
-        } else if (key == "glitch-depth") {
-            grid.glitch_depths_v = parseDoubleList(value, "glitch-depth");
-        } else if (key == "undervolt-depth") {
-            grid.undervolt_depths_v =
-                parseDoubleList(value, "undervolt-depth");
-        } else if (key == "hold-ns") {
-            grid.holds_ns = parseDoubleList(value, "hold-ns");
-        } else if (key == "readout-rate") {
-            grid.readout_rates = parseDoubleList(value, "readout-rate");
-        } else if (key == "cpa-window-ns") {
-            grid.cpa_windows_ns = parseDoubleList(value, "cpa-window-ns");
-        } else if (key == "dumps") {
-            grid.dump_counts.clear();
-            for (const std::string &d : split(value, ',')) {
-                const uint64_t v = parseUintStrict(d, "dumps");
-                if (v == 0)
-                    fatal("grid key 'dumps' values must be >= 1");
-                grid.dump_counts.push_back(v);
-            }
-        } else if (key == "prior") {
-            grid.use_priors.clear();
-            for (const std::string &p : split(value, ',')) {
-                const uint64_t v = parseUintStrict(p, "prior");
-                if (v > 1)
-                    fatal("grid key 'prior' takes 0 or 1, got '", p,
-                          "'");
-                grid.use_priors.push_back(v != 0);
-            }
-        } else if (key == "key") {
-            grid.plant_key.clear();
-            for (const std::string &k : split(value, ',')) {
-                const uint64_t v = parseUintStrict(k, "key");
-                if (v > 1)
-                    fatal("grid key 'key' takes 0 or 1, got '", k, "'");
-                grid.plant_key.push_back(v != 0);
-            }
-        } else if (key == "seeds") {
-            grid.seed_count = parseUintStrict(value, "seeds");
-            if (grid.seed_count == 0)
-                fatal("grid key 'seeds' must be >= 1");
-        } else {
-            fatal("unknown grid key '", key,
-                  "' (board|target|attack|temp|off-ms|current|"
-                  "impedance-mohm|glitch-off-ns|glitch-width-ns|"
-                  "glitch-depth|undervolt-depth|hold-ns|readout-rate|"
-                  "cpa-window-ns|dumps|prior|key|seeds)");
+        const Axis *found = nullptr;
+        std::string keys;
+        for (const Axis &a : axes()) {
+            if (key == a.key)
+                found = &a;
+            keys += keys.empty() ? "" : "|";
+            keys += a.key;
         }
+        if (found == nullptr)
+            fatal("unknown grid key '", key, "' (", keys, ")");
+        if (const auto [first, fresh] = seen.emplace(key, value); !fresh)
+            fatal("grid key '", key, "' given twice ('", first->second,
+                  "' and '", value, "')");
+        found->parse(grid, value, found->key);
     }
     if (grid.size() == 0)
         fatal("grid describes zero trials");
@@ -314,79 +328,38 @@ SweepGrid::parse(const std::string &spec)
 std::string
 SweepGrid::describe() const
 {
-    std::string out = "board=";
-    for (size_t i = 0; i < boards.size(); ++i)
-        out += (i ? "," : "") + boards[i];
-    out += ";target=";
-    for (size_t i = 0; i < targets.size(); ++i)
-        out += std::string(i ? "," : "") + toString(targets[i]);
-    out += ";attack=";
-    for (size_t i = 0; i < attacks.size(); ++i)
-        out += std::string(i ? "," : "") + toString(attacks[i]);
-    out += ";temp=" + joinDoubles(temps_c);
-    out += ";off-ms=" + joinDoubles(offs_ms);
-    out += ";current=" + joinDoubles(currents_a);
-    out += ";impedance-mohm=" + joinDoubles(impedances_mohm);
-    out += ";glitch-off-ns=" + joinDoubles(glitch_offs_ns);
-    out += ";glitch-width-ns=" + joinDoubles(glitch_widths_ns);
-    out += ";glitch-depth=" + joinDoubles(glitch_depths_v);
-    out += ";undervolt-depth=" + joinDoubles(undervolt_depths_v);
-    out += ";hold-ns=" + joinDoubles(holds_ns);
-    out += ";readout-rate=" + joinDoubles(readout_rates);
-    out += ";cpa-window-ns=" + joinDoubles(cpa_windows_ns);
-    out += ";dumps=";
-    for (size_t i = 0; i < dump_counts.size(); ++i)
-        out += std::string(i ? "," : "") + std::to_string(dump_counts[i]);
-    out += ";prior=";
-    for (size_t i = 0; i < use_priors.size(); ++i)
-        out += std::string(i ? "," : "") + (use_priors[i] ? "1" : "0");
-    out += ";key=";
-    for (size_t i = 0; i < plant_key.size(); ++i)
-        out += std::string(i ? "," : "") + (plant_key[i] ? "1" : "0");
-    out += ";seeds=" + std::to_string(seed_count);
+    std::string out;
+    for (const Axis &a : axes()) {
+        out += out.empty() ? "" : ";";
+        out += a.key;
+        out += '=';
+        out += a.render(*this);
+    }
+    return out;
+}
+
+std::vector<std::pair<const char *, uint64_t>>
+SweepGrid::axisSizes() const
+{
+    std::vector<std::pair<const char *, uint64_t>> out;
+    for (const Axis &a : axes())
+        out.emplace_back(a.key, a.size(*this));
     return out;
 }
 
 std::string
 SweepGrid::axesHelp()
 {
-    struct AxisDoc
-    {
-        const char *key;
-        const char *unit;
-        const char *def;
-        const char *values;
-    };
-    static const AxisDoc axes[] = {
-        {"board", "-", "pi4", "pi3|pi4|imx53"},
-        {"target", "-", "dcache", "dcache|icache|regs|iram|tlb|btb"},
-        {"attack", "-", "voltboot",
-         "voltboot|coldboot|glitch|static-extract|voltage-coupling"},
-        {"temp", "degC", "25", "ambient temperature list"},
-        {"off-ms", "ms", "500", "power-off time list"},
-        {"current", "A", "3", "probe current-limit list"},
-        {"impedance-mohm", "mohm", "50", "probe source impedance list"},
-        {"glitch-off-ns", "ns", "0", "pulse offset from victim entry"},
-        {"glitch-width-ns", "ns", "0", "pulse width (0 = no pulse)"},
-        {"glitch-depth", "V", "0", "droop below nominal (0 = no pulse)"},
-        {"undervolt-depth", "V", "0", "static sag below nominal (0 = no ramp)"},
-        {"hold-ns", "ns", "0", "undervolt hold time at the floor"},
-        {"readout-rate", "B/us", "0", "frozen readout bandwidth (0 = unlimited)"},
-        {"cpa-window-ns", "ns", "0", "CPA correlation window (0 = full block)"},
-        {"dumps", "count", "1", "power-cycle dumps fused per key-recovery trial"},
-        {"prior", "0|1", "0", "guide key correction by DRV decay priors"},
-        {"key", "0|1", "0", "plant + scan an AES-128 schedule"},
-        {"seeds", "count", "1", "chip-seed replication axis"},
-    };
+    const SweepGrid defaults;
     std::string out =
         "axis              unit   default  values\n"
         "----              ----   -------  ------\n";
-    for (const AxisDoc &a : axes) {
+    for (const Axis &a : axes()) {
         std::string line = a.key;
         line.resize(18, ' ');
         std::string unit = a.unit;
         unit.resize(7, ' ');
-        std::string def = a.def;
+        std::string def = a.render(defaults);
         def.resize(9, ' ');
         out += line + unit + def + a.values + "\n";
     }

@@ -16,9 +16,13 @@
 #ifndef VOLTBOOT_CAMPAIGN_SWEEP_GRID_HH
 #define VOLTBOOT_CAMPAIGN_SWEEP_GRID_HH
 
+#include <array>
 #include <cstdint>
 #include <iterator>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace voltboot
@@ -46,8 +50,43 @@ enum class TargetRam
     Btb,    ///< BTB entry RAM of core 0.
 };
 
+/** Spec and record name of each enumerator, indexed by its value. */
+inline constexpr std::array<const char *, 6> kAttackNames = {
+    "voltboot", "coldboot", "glitch", "static-extract", "voltage-coupling",
+    "key-recovery"};
+inline constexpr std::array<const char *, 6> kTargetNames = {
+    "dcache", "icache", "regs", "iram", "tlb", "btb"};
+static_assert(kAttackNames.size() ==
+              static_cast<size_t>(AttackKind::KeyRecovery) + 1);
+static_assert(kTargetNames.size() == static_cast<size_t>(TargetRam::Btb) + 1);
+
+/** The enumerator named @p name in @p names, or nullopt. */
+template <class E, size_t N>
+std::optional<E>
+enumFromName(const std::array<const char *, N> &names, std::string_view name)
+{
+    for (size_t i = 0; i < N; ++i)
+        if (name == names[i])
+            return static_cast<E>(i);
+    return std::nullopt;
+}
+
+/** @p names joined with '|', as error messages and help list them. */
+template <size_t N>
+std::string
+joinNames(const std::array<const char *, N> &names)
+{
+    std::string out;
+    for (const char *name : names) {
+        out += out.empty() ? "" : "|";
+        out += name;
+    }
+    return out;
+}
+
 const char *toString(AttackKind kind);
 const char *toString(TargetRam target);
+/** Parse an attack/target name; fatal() names the accepted ones. */
 AttackKind attackFromString(const std::string &name);
 TargetRam targetFromString(const std::string &name);
 
@@ -135,16 +174,18 @@ class SweepGrid
 
     /**
      * Parse a `key=v1,v2;...` spec (';' or newline separated, '#'
-     * comments allowed). Unknown keys, empty value lists and malformed
-     * numbers are fatal(). Keys: board, target, attack, temp, off-ms,
-     * current, impedance-mohm, glitch-off-ns, glitch-width-ns,
-     * glitch-depth, undervolt-depth, hold-ns, readout-rate,
-     * cpa-window-ns, dumps, prior, key, seeds.
+     * comments allowed). The keys are the axes axesHelp() lists.
+     * Unknown or repeated keys, empty value lists, malformed or
+     * non-finite numbers and out-of-range counts are fatal(), with a
+     * message naming the key and the offending value.
      */
     static SweepGrid parse(const std::string &spec);
 
     /** Canonical re-rendering of the spec (stable across parses). */
     std::string describe() const;
+
+    /** Every axis's spec key and length, slowest-varying first. */
+    std::vector<std::pair<const char *, uint64_t>> axisSizes() const;
 
     /** Human-readable table of every axis: spec key, unit, default and
      * accepted values (the `sweep --list-axes` text). */

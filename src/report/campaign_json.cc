@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #include "report/json.hh"
 #include "sim/logging.hh"
@@ -21,6 +22,19 @@ schemaFail(const std::string &source, const JsonValue &at,
     throw JsonParseError(source, at.line, at.column, detail);
 }
 
+/** @p v, the value of @p key, checked to be of @p kind. */
+const JsonValue &
+expect(const JsonValue &v, const char *key, JsonValue::Kind kind,
+       const std::string &source)
+{
+    if (v.kind != kind)
+        schemaFail(source, v,
+                   std::string("key \"") + key + "\" must be a " +
+                       JsonValue::kindName(kind) + ", got " +
+                       JsonValue::kindName(v.kind));
+    return v;
+}
+
 const JsonValue &
 member(const JsonValue &object, const char *key, JsonValue::Kind kind,
        const std::string &source)
@@ -29,12 +43,7 @@ member(const JsonValue &object, const char *key, JsonValue::Kind kind,
     if (v == nullptr)
         schemaFail(source, object,
                    std::string("missing required key \"") + key + "\"");
-    if (v->kind != kind)
-        schemaFail(source, *v,
-                   std::string("key \"") + key + "\" must be a " +
-                       JsonValue::kindName(kind) + ", got " +
-                       JsonValue::kindName(v->kind));
-    return *v;
+    return expect(*v, key, kind, source);
 }
 
 double
@@ -44,11 +53,10 @@ num(const JsonValue &object, const char *key, const std::string &source)
 }
 
 uint64_t
-uns(const JsonValue &object, const char *key, const std::string &source)
+count(const JsonValue &v, const char *key, const std::string &source)
 {
-    const JsonValue &v =
-        member(object, key, JsonValue::Kind::Number, source);
-    const std::optional<uint64_t> n = v.asCount();
+    const std::optional<uint64_t> n =
+        expect(v, key, JsonValue::Kind::Number, source).asCount();
     if (!n)
         schemaFail(source, v,
                    std::string("key \"") + key +
@@ -57,17 +65,78 @@ uns(const JsonValue &object, const char *key, const std::string &source)
     return *n;
 }
 
+uint64_t
+uns(const JsonValue &object, const char *key, const std::string &source)
+{
+    return count(member(object, key, JsonValue::Kind::Number, source), key,
+                 source);
+}
+
 std::string
 str(const JsonValue &object, const char *key, const std::string &source)
 {
     return member(object, key, JsonValue::Kind::String, source).text;
 }
 
-bool
-boolean(const JsonValue &object, const char *key,
-        const std::string &source)
+/** The enumerator named by string @p v, the value of @p key. */
+template <class E, size_t N>
+E
+readName(const JsonValue &v, const char *key, const std::string &source,
+         const std::array<const char *, N> &names)
 {
-    return member(object, key, JsonValue::Kind::Bool, source).boolean;
+    const std::string &name =
+        expect(v, key, JsonValue::Kind::String, source).text;
+    const std::optional<E> value = enumFromName<E>(names, name);
+    if (!value)
+        schemaFail(source, v,
+                   std::string("key \"") + key + "\" has unknown value \"" +
+                       name + "\" (" + joinNames(names) + ")");
+    return *value;
+}
+
+/** Read @p v, the value of record column @p key, into @p out. */
+template <class T>
+void
+readValue(const JsonValue &v, const char *key, const std::string &source,
+          T &out)
+{
+    using Kind = JsonValue::Kind;
+    if constexpr (std::is_same_v<T, uint64_t>)
+        out = count(v, key, source);
+    else if constexpr (std::is_same_v<T, double>)
+        out = expect(v, key, Kind::Number, source).number;
+    else if constexpr (std::is_same_v<T, bool>)
+        out = expect(v, key, Kind::Bool, source).boolean;
+    else if constexpr (std::is_same_v<T, std::string>)
+        out = expect(v, key, Kind::String, source).text;
+    else if constexpr (std::is_same_v<T, TargetRam>)
+        out = readName<T>(v, key, source, kTargetNames);
+    else if constexpr (std::is_same_v<T, AttackKind>)
+        out = readName<T>(v, key, source, kAttackNames);
+    else
+        out = readName<T>(v, key, source, kStatusNames);
+}
+
+TrialRecord
+readRecord(const JsonValue &object, const std::string &source)
+{
+    if (!object.isObject())
+        schemaFail(source, object, "records must be objects");
+    TrialRecord rec;
+    for (const RecordColumn &c : kRecordColumns) {
+        const JsonValue *v = object.find(c.name);
+        if (v == nullptr) {
+            if (c.use == RecordColumn::Required)
+                schemaFail(source, object,
+                           std::string("missing required key \"") +
+                               c.name + "\"");
+            continue;
+        }
+        std::visit(
+            [&](const auto &m) { readValue(*v, c.name, source, m.of(rec)); },
+            c.member);
+    }
+    return rec;
 }
 
 std::string
@@ -146,80 +215,8 @@ parseSweepJson(std::string_view text, const std::string &source)
                        std::to_string(records.items.size()) + ")");
 
     sweep.records.reserve(records.items.size());
-    for (const JsonValue &r : records.items) {
-        if (!r.isObject())
-            schemaFail(source, r, "records must be objects");
-        SweepRecord rec;
-        rec.index = uns(r, "index", source);
-        rec.board = str(r, "board", source);
-        rec.target = str(r, "target", source);
-        rec.attack = str(r, "attack", source);
-        rec.temp_c = num(r, "temp_c", source);
-        rec.off_ms = num(r, "off_ms", source);
-        rec.current_a = num(r, "current_a", source);
-        rec.impedance_mohm = num(r, "impedance_mohm", source);
-        rec.seed_index = uns(r, "seed_index", source);
-        rec.chip_seed = uns(r, "chip_seed", source);
-        rec.status = str(r, "status", source);
-        rec.detail = str(r, "detail", source);
-        rec.probe_attached = boolean(r, "probe_attached", source);
-        rec.booted = boolean(r, "booted", source);
-        rec.dump_bytes = uns(r, "dump_bytes", source);
-        rec.accuracy = num(r, "accuracy", source);
-        rec.bit_error_rate = num(r, "bit_error_rate", source);
-        rec.key_planted = boolean(r, "key_planted", source);
-        rec.key_found = boolean(r, "key_found", source);
-        rec.key_exact = boolean(r, "key_exact", source);
-        // Glitch fields postdate the v1 schema; absent in old sweeps.
-        if (r.find("glitch_off_ns"))
-            rec.glitch_off_ns = num(r, "glitch_off_ns", source);
-        if (r.find("glitch_width_ns"))
-            rec.glitch_width_ns = num(r, "glitch_width_ns", source);
-        if (r.find("glitch_depth_v"))
-            rec.glitch_depth_v = num(r, "glitch_depth_v", source);
-        if (r.find("glitch_faults"))
-            rec.glitch_faults = uns(r, "glitch_faults", source);
-        if (r.find("glitch_effect"))
-            rec.glitch_effect = str(r, "glitch_effect", source);
-        if (r.find("glitch_bypassed"))
-            rec.glitch_bypassed = boolean(r, "glitch_bypassed", source);
-        if (r.find("undervolt_depth_v"))
-            rec.undervolt_depth_v = num(r, "undervolt_depth_v", source);
-        if (r.find("hold_ns"))
-            rec.hold_ns = num(r, "hold_ns", source);
-        if (r.find("readout_rate"))
-            rec.readout_rate = num(r, "readout_rate", source);
-        if (r.find("cpa_window_ns"))
-            rec.cpa_window_ns = num(r, "cpa_window_ns", source);
-        if (r.find("se_frozen"))
-            rec.se_frozen = boolean(r, "se_frozen", source);
-        if (r.find("se_zeroized"))
-            rec.se_zeroized = boolean(r, "se_zeroized", source);
-        if (r.find("se_read_fraction"))
-            rec.se_read_fraction = num(r, "se_read_fraction", source);
-        if (r.find("cpa_recovered"))
-            rec.cpa_recovered = uns(r, "cpa_recovered", source);
-        if (r.find("dump_count"))
-            rec.dump_count = uns(r, "dump_count", source);
-        if (r.find("use_priors"))
-            rec.use_priors = boolean(r, "use_priors", source);
-        if (r.find("kr_scan_hits"))
-            rec.kr_scan_hits = uns(r, "kr_scan_hits", source);
-        if (r.find("kr_corrected_hits"))
-            rec.kr_corrected_hits = uns(r, "kr_corrected_hits", source);
-        if (r.find("kr_bit_errors"))
-            rec.kr_bit_errors = uns(r, "kr_bit_errors", source);
-        if (r.find("kr_key_bits_flipped"))
-            rec.kr_key_bits_flipped =
-                uns(r, "kr_key_bits_flipped", source);
-        if (r.find("kr_correction_iterations"))
-            rec.kr_correction_iterations =
-                uns(r, "kr_correction_iterations", source);
-        if (r.find("kr_disagreeing_bits"))
-            rec.kr_disagreeing_bits =
-                uns(r, "kr_disagreeing_bits", source);
-        sweep.records.push_back(std::move(rec));
-    }
+    for (const JsonValue &r : records.items)
+        sweep.records.push_back(readRecord(r, source));
 
     if (const JsonValue *timing = doc.find("timing")) {
         if (!timing->isObject())

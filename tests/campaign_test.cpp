@@ -127,6 +127,31 @@ TEST(SweepGrid, ParseRejectsMalformedSpecs)
     EXPECT_THROW(SweepGrid::parse("attack=warmboot"), FatalError);
     EXPECT_THROW(SweepGrid::parse("temp"), FatalError);
     EXPECT_THROW(SweepGrid::parse("key=2"), FatalError);
+    // Values a sweep could not write back out as JSON numbers.
+    for (const char *spec : {"temp=nan", "off-ms=inf", "temp=25,-inf",
+                             "glitch-depth=NaN"}) {
+        try {
+            SweepGrid::parse(spec);
+            ADD_FAILURE() << "accepted " << spec;
+        } catch (const FatalError &e) {
+            const std::string msg = e.what();
+            const std::string key = std::string(spec).substr(
+                0, std::string(spec).find('='));
+            EXPECT_NE(msg.find("'" + key + "'"), std::string::npos) << msg;
+            EXPECT_NE(msg.find("not finite"), std::string::npos) << msg;
+        }
+    }
+    // A repeated key would silently drop the earlier value list.
+    try {
+        SweepGrid::parse("off-ms=5;off-ms=7");
+        ADD_FAILURE() << "accepted a repeated key";
+    } catch (const FatalError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("'off-ms'"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("'7'"), std::string::npos) << msg;
+    }
+    EXPECT_THROW(SweepGrid::parse("seeds=2\nboard=pi4\nseeds=3"),
+                 FatalError);
 }
 
 TEST(Campaign, JsonIsByteIdenticalAcrossJobCounts)

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -23,6 +24,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <sys/wait.h>
@@ -887,10 +889,16 @@ TEST(SpanAggregator, CollectsGenericCounterTracks)
 
 TEST(CampaignJson, RoundTripsThroughResultJson)
 {
+    // One trial per attack family and key-recovery knob, so every
+    // record column carries a family-specific value.
     CampaignConfig cfg;
     cfg.jobs = 2;
     Campaign campaign(
-        SweepGrid::parse("board=pi4;attack=voltboot,coldboot;off-ms=5;"
+        SweepGrid::parse("board=pi4;attack=voltboot,coldboot,glitch,"
+                         "static-extract,voltage-coupling,key-recovery;"
+                         "off-ms=5;glitch-off-ns=109;glitch-width-ns=2;"
+                         "glitch-depth=0.5;undervolt-depth=0.3;"
+                         "hold-ns=200;dumps=1,2;prior=0,1;key=0,1;"
                          "seeds=1"),
         std::move(cfg));
     const CampaignResult result = campaign.run();
@@ -900,14 +908,19 @@ TEST(CampaignJson, RoundTripsThroughResultJson)
     EXPECT_EQ(sweep.schema, "voltboot-campaign-v1");
     EXPECT_EQ(sweep.campaign_seed, result.campaign_seed);
     ASSERT_EQ(sweep.records.size(), result.records.size());
-    EXPECT_EQ(sweep.records[0].board, "pi4");
-    // 64-bit chip seeds survive the reader exactly.
-    for (size_t i = 0; i < sweep.records.size(); ++i)
-        EXPECT_EQ(sweep.records[i].chip_seed, result.records[i].chip_seed);
     EXPECT_TRUE(sweep.has_timing);
     EXPECT_EQ(sweep.jobs, result.jobs);
     EXPECT_EQ(sweep.metrics.histograms.count("campaign.trial_wall_s"),
               1u);
+
+    // Every column survives the reader: the records it yields render
+    // the same JSON and CSV bytes as the originals.
+    CampaignResult reread;
+    reread.campaign_seed = sweep.campaign_seed;
+    reread.grid_spec = sweep.grid;
+    reread.records = sweep.records;
+    EXPECT_EQ(reread.toJson(), result.toJson());
+    EXPECT_EQ(reread.toCsv(), result.toCsv());
 
     // The canonical document has no timing section.
     const report::SweepDoc bare =
@@ -955,6 +968,33 @@ TEST(CampaignJson, RejectsSchemaViolations)
                        "\"dump_bytes\": 2.5");
     EXPECT_THROW(report::parseSweepJson(fractional),
                  report::JsonParseError);
+
+    // Unknown status/attack/target names fail at the value's position.
+    for (const auto &[good, bad] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"\"status\": \"skipped\"", "\"status\": \"bogus\""},
+             {"\"attack\": \"voltboot\"", "\"attack\": \"warmboot\""},
+             {"\"target\": \"dcache\"", "\"target\": \"l9cache\""}}) {
+        std::string doc = one.toJson();
+        const size_t at = doc.find(good);
+        ASSERT_NE(at, std::string::npos) << good;
+        doc.replace(at, good.size(), bad);
+        const size_t value = at + bad.find(": ") + 2;
+        const size_t line_start = doc.rfind('\n', value) + 1;
+        try {
+            report::parseSweepJson(doc, "sweep.json");
+            ADD_FAILURE() << "accepted " << bad;
+        } catch (const report::JsonParseError &e) {
+            EXPECT_EQ(e.line(), static_cast<size_t>(std::count(
+                                    doc.begin(), doc.begin() + value,
+                                    '\n')) + 1)
+                << e.what();
+            EXPECT_EQ(e.column(), value - line_start + 1) << e.what();
+            EXPECT_NE(std::string(e.what()).find("unknown value"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(CampaignJson, ParsesBaseline)
@@ -1046,12 +1086,8 @@ TEST(CampaignReport, MissingTraceIsAProblemUnderCheck)
     report::SweepDoc sweep;
     sweep.schema = "voltboot-campaign-v1";
     sweep.grid = "g";
-    report::SweepRecord rec;
-    rec.index = 0;
-    rec.board = "pi4";
-    rec.target = "dcache";
-    rec.attack = "voltboot";
-    rec.status = "ok";
+    TrialRecord rec;
+    rec.status = TrialStatus::Ok;
     sweep.records.push_back(rec);
 
     report::CampaignReportOptions opts;
@@ -1254,8 +1290,19 @@ TEST(Cli, SweepListAxesEnumeratesEveryAxis)
     for (const char *axis :
          {"board", "target", "attack", "temp", "off-ms", "current",
           "impedance-mohm", "glitch-off-ns", "glitch-width-ns",
-          "glitch-depth", "key", "seeds"})
-        EXPECT_NE(r.out.find(axis), std::string::npos) << axis;
+          "glitch-depth", "undervolt-depth", "hold-ns", "readout-rate",
+          "cpa-window-ns", "dumps", "prior", "key", "seeds"})
+        EXPECT_NE(r.out.find(std::string("\n") + axis + " "),
+                  std::string::npos)
+            << axis;
+    // The attack row names every family the parser accepts.
+    const size_t row = r.out.find("\nattack ");
+    ASSERT_NE(row, std::string::npos);
+    const std::string attack_row =
+        r.out.substr(row + 1, r.out.find('\n', row + 1) - row - 1);
+    for (const char *attack : kAttackNames)
+        EXPECT_NE(attack_row.find(attack), std::string::npos)
+            << attack << " missing from: " << attack_row;
     EXPECT_NE(r.out.find("unit"), std::string::npos);
     EXPECT_NE(r.out.find("Enumeration order"), std::string::npos);
 }

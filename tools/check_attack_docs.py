@@ -1,22 +1,26 @@
 #!/usr/bin/env python3
-"""Fail when docs/ATTACKS.md drifts from the attack/axis code.
+"""Fail when the docs drift from the sweep-axis and record-column tables.
 
 Single source of truth for what exists:
 
- - The ``AttackKind`` enum (searched for in ``src/core/attack.hh`` and
-   ``src/campaign/sweep_grid.hh`` -- it has moved once already) and its
-   ``toString`` switch in ``src/campaign/sweep_grid.cc``, which names
-   every attack the sweep engine accepts.
- - The ``axes[]`` table inside ``SweepGrid::axesHelp()`` in
-   ``src/campaign/sweep_grid.cc``, which is exactly what
+ - The ``kAttackNames`` array in ``src/campaign/sweep_grid.hh``: the
+   name of every ``AttackKind`` the sweep engine accepts (a
+   ``static_assert`` there keeps it as long as the enum).
+ - The axis table ``axes()`` in ``src/campaign/sweep_grid.cc``, one
+   ``axis<...>("key", ...)`` row per sweep axis; it is exactly what
    ``voltboot_cli sweep --list-axes`` prints.
+ - The record-column table ``kRecordColumns`` in
+   ``src/campaign/campaign_result.hh``, one ``{"name", &Member}`` row per
+   column of a sweep's JSON/CSV trial records.
 
-What docs/ATTACKS.md must provide:
+What the docs must provide:
 
- - one ``<a id="attack-NAME"></a>`` anchor per attack name, so every
-   family has a stable deep-linkable section;
- - at least one backticked mention of every sweep-axis key, so the
-   parameter tables cannot silently omit an axis.
+ - docs/ATTACKS.md: one ``<a id="attack-NAME"></a>`` anchor per attack
+   name, so every family has a stable deep-linkable section, and at least
+   one backticked mention of every sweep-axis key, so the parameter
+   tables cannot silently omit an axis;
+ - docs/CAMPAIGN.md: a backticked mention of every record column, so the
+   result-schema table cannot silently omit one.
 
 Exit code 1 with a per-item report when anything is missing.
 
@@ -27,14 +31,16 @@ import os
 import re
 import sys
 
-ENUM_FILES = ("src/core/attack.hh", "src/campaign/sweep_grid.hh")
+GRID_HH = "src/campaign/sweep_grid.hh"
 GRID_CC = "src/campaign/sweep_grid.cc"
-DOC = "docs/ATTACKS.md"
+RESULT_HH = "src/campaign/campaign_result.hh"
+ATTACKS_DOC = "docs/ATTACKS.md"
+CAMPAIGN_DOC = "docs/CAMPAIGN.md"
 
-ENUM_RE = re.compile(r"enum\s+class\s+AttackKind\s*{([^}]*)}", re.S)
-CASE_RE = re.compile(
-    r'case\s+AttackKind::(\w+):\s*return\s+"([a-z0-9-]+)"')
-AXIS_RE = re.compile(r'\{"([a-z0-9-]+)",')
+NAMES_RE = re.compile(r"kAttackNames\s*=\s*{([^}]*)}", re.S)
+AXIS_RE = re.compile(r'\baxis<[^>]*>\(\s*"([a-z0-9-]+)"')
+COLUMNS_RE = re.compile(r"kRecordColumns\[\]\s*=\s*{(.*?)\n};", re.S)
+COLUMN_RE = re.compile(r'{"([a-z0-9_]+)",\s*&Trial(?:Spec|Record)::')
 
 
 def read(root, rel):
@@ -42,67 +48,52 @@ def read(root, rel):
         return fh.read()
 
 
-def enum_members(root):
-    for rel in ENUM_FILES:
-        path = os.path.join(root, rel)
-        if not os.path.exists(path):
-            continue
-        match = ENUM_RE.search(read(root, rel))
-        if match:
-            body = re.sub(r"//[^\n]*", "", match.group(1))
-            members = [m for m in re.findall(r"\b(\w+)\s*,?", body)]
-            return rel, members
-    return None, []
+def attack_names(text):
+    match = NAMES_RE.search(text)
+    return re.findall(r'"([a-z0-9-]+)"', match.group(1)) if match else []
 
 
-def attack_names(root):
-    text = read(root, GRID_CC)
-    # The first run of AttackKind cases is the toString switch.
-    return {enum: name for enum, name in CASE_RE.findall(text)}
-
-
-def axis_keys(root):
-    text = read(root, GRID_CC)
-    start = text.find("axesHelp")
-    if start < 0:
-        return []
-    return AXIS_RE.findall(text[start:])
+def record_columns(text):
+    match = COLUMNS_RE.search(text)
+    return COLUMN_RE.findall(match.group(1)) if match else []
 
 
 def main():
     root = os.path.abspath(sys.argv[1] if len(sys.argv) > 1 else ".")
     problems = []
 
-    enum_file, members = enum_members(root)
-    if not members:
-        problems.append(
-            "AttackKind enum not found in any of: " +
-            ", ".join(ENUM_FILES))
-    names = attack_names(root)
-    for member in members:
-        if member not in names:
-            problems.append(
-                f"{GRID_CC}: AttackKind::{member} (from {enum_file}) "
-                "has no toString name")
-    axes = axis_keys(root)
+    names = attack_names(read(root, GRID_HH))
+    if not names:
+        problems.append(f"{GRID_HH}: kAttackNames array not found")
+    axes = AXIS_RE.findall(read(root, GRID_CC))
     if not axes:
-        problems.append(f"{GRID_CC}: no axes[] table in axesHelp()")
+        problems.append(f"{GRID_CC}: no axis<...>(\"key\", ...) rows")
+    columns = record_columns(read(root, RESULT_HH))
+    if not columns:
+        problems.append(f"{RESULT_HH}: no kRecordColumns rows")
 
-    doc = read(root, DOC)
-    for name in sorted(names.values()):
+    attacks_doc = read(root, ATTACKS_DOC)
+    for name in sorted(names):
         anchor = f'<a id="attack-{name}"></a>'
-        if anchor not in doc:
-            problems.append(f"{DOC}: missing anchor {anchor}")
+        if anchor not in attacks_doc:
+            problems.append(f"{ATTACKS_DOC}: missing anchor {anchor}")
     for key in axes:
-        if not re.search(r"`" + re.escape(key) + r"[=`]", doc):
+        if not re.search(r"`" + re.escape(key) + r"[=`]", attacks_doc):
             problems.append(
-                f"{DOC}: sweep axis `{key}` is never mentioned "
+                f"{ATTACKS_DOC}: sweep axis `{key}` is never mentioned "
                 "in backticks")
+    campaign_doc = read(root, CAMPAIGN_DOC)
+    for column in columns:
+        if f"`{column}`" not in campaign_doc:
+            problems.append(
+                f"{CAMPAIGN_DOC}: record column `{column}` is never "
+                "mentioned in backticks")
 
     for line in problems:
         print(line, file=sys.stderr)
-    print(f"checked {len(names)} attacks and {len(axes)} sweep axes "
-          f"against {DOC}, {len(problems)} problem(s)")
+    print(f"checked {len(names)} attacks, {len(axes)} sweep axes and "
+          f"{len(columns)} record columns against {ATTACKS_DOC} and "
+          f"{CAMPAIGN_DOC}, {len(problems)} problem(s)")
     return 1 if problems else 0
 
 

@@ -511,38 +511,6 @@ abortSignalHandler(int)
         campaign->requestAbort();
 }
 
-/** Axes of @p grid that actually vary, slowest-varying first (the
- * SweepGrid::at() decode order), for /progress completion. */
-std::vector<telemetry::AxisDesc>
-monitorAxes(const SweepGrid &grid)
-{
-    const std::pair<const char *, uint64_t> all[] = {
-        {"board", grid.boards.size()},
-        {"target", grid.targets.size()},
-        {"attack", grid.attacks.size()},
-        {"temp", grid.temps_c.size()},
-        {"off-ms", grid.offs_ms.size()},
-        {"current", grid.currents_a.size()},
-        {"impedance-mohm", grid.impedances_mohm.size()},
-        {"glitch-off-ns", grid.glitch_offs_ns.size()},
-        {"glitch-width-ns", grid.glitch_widths_ns.size()},
-        {"glitch-depth", grid.glitch_depths_v.size()},
-        {"undervolt-depth", grid.undervolt_depths_v.size()},
-        {"hold-ns", grid.holds_ns.size()},
-        {"readout-rate", grid.readout_rates.size()},
-        {"cpa-window-ns", grid.cpa_windows_ns.size()},
-        {"dumps", grid.dump_counts.size()},
-        {"prior", grid.use_priors.size()},
-        {"key", grid.plant_key.size()},
-        {"seeds", grid.seed_count},
-    };
-    std::vector<telemetry::AxisDesc> axes;
-    for (const auto &[name, size] : all)
-        if (size > 1)
-            axes.push_back({name, size});
-    return axes;
-}
-
 int
 cmdSweep(const SweepOptions &o)
 {
@@ -594,7 +562,10 @@ cmdSweep(const SweepOptions &o)
     mcfg.total_trials = grid.size();
     mcfg.campaign_seed = o.seed;
     mcfg.grid_spec = grid.describe();
-    mcfg.axes = monitorAxes(grid);
+    // Axes that actually vary, in at() decode order, for /progress.
+    for (const auto &[name, size] : grid.axisSizes())
+        if (size > 1)
+            mcfg.axes.push_back({name, size});
     mcfg.on_sample = [&o, &progress_events, tracing](
                          const telemetry::CampaignMonitor &monitor,
                          const telemetry::TelemetrySnapshot &snap) {
