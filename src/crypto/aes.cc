@@ -1,5 +1,7 @@
 #include "crypto/aes.hh"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "sim/logging.hh"
@@ -152,49 +154,110 @@ Aes::sbox()
     return table;
 }
 
+namespace
+{
+
+/** Words in the largest (AES-256) schedule. */
+constexpr size_t kMaxScheduleWords = 60;
+
+/** Schedule word at @p p, byte 0 in the low bits (any host order). */
+inline uint32_t
+loadWord(const uint8_t *p)
+{
+    return uint32_t{p[0]} | uint32_t{p[1]} << 8 | uint32_t{p[2]} << 16 |
+           uint32_t{p[3]} << 24;
+}
+
+/**
+ * Schedule word i of a key of @p nk words, from w[i-1] (@p prev) and
+ * w[i-Nk] (@p back): RotWord + SubWord + Rcon on every Nk-th word,
+ * AES-256's extra SubWord half-way between, then the XOR with w[i-Nk].
+ * The only copy of the key-schedule step.
+ */
+inline uint32_t
+nextWord(uint32_t prev, uint32_t back, size_t i, size_t nk,
+         const uint8_t *sbox)
+{
+    // Rcon[j] = x^(j-1) in GF(2^8); AES-128 consumes the most (10).
+    static constexpr uint8_t kRcon[] = {0x01, 0x02, 0x04, 0x08, 0x10,
+                                        0x20, 0x40, 0x80, 0x1b, 0x36};
+    auto sub = [sbox](uint32_t v, unsigned byte) {
+        return uint32_t{sbox[(v >> (8 * byte)) & 0xff]};
+    };
+    if (i % nk == 0)
+        prev = (sub(prev, 1) ^ kRcon[i / nk - 1]) | sub(prev, 2) << 8 |
+               sub(prev, 3) << 16 | sub(prev, 0) << 24;
+    else if (nk > 6 && i % nk == 4)
+        prev = sub(prev, 0) | sub(prev, 1) << 8 | sub(prev, 2) << 16 |
+               sub(prev, 3) << 24;
+    return back ^ prev;
+}
+
+/**
+ * Read @p key into the first Nk entries of @p w and derive the schedule
+ * words up to @p end_word after it. With a @p window, also count the
+ * bits of words [first_word, end_word) that disagree with it, stopping
+ * once the count reaches @p bound. Words live in registers and a
+ * uint32_t array, so no byte store is ever reloaded as a word.
+ */
+size_t
+deriveWords(std::span<const uint8_t> key, uint32_t *w, size_t end_word,
+            const uint8_t *window = nullptr, size_t first_word = 0,
+            size_t bound = SIZE_MAX)
+{
+    const size_t nk = key.size() / 4;
+    for (size_t i = 0; i < nk; ++i)
+        w[i] = loadWord(key.data() + i * 4);
+    const uint8_t *sbox = Aes::sbox().data();
+    size_t errors = 0;
+    for (size_t i = 0; i < end_word; ++i) {
+        if (i >= nk)
+            w[i] = nextWord(w[i - 1], w[i - nk], i, nk, sbox);
+        if (!window || i < first_word)
+            continue;
+        errors += static_cast<size_t>(
+            std::popcount(w[i] ^ loadWord(window + i * 4)));
+        if (errors >= bound)
+            break;
+    }
+    return errors;
+}
+
+} // namespace
+
+size_t
+Aes::scheduleBytes(size_t key_bytes)
+{
+    switch (key_bytes) {
+      case 16: return 176;
+      case 24: return 208;
+      case 32: return 240;
+      default:
+        fatal("Aes: key must be 16, 24 or 32 bytes, got ", key_bytes);
+    }
+}
+
 std::vector<uint8_t>
 Aes::expandKey(std::span<const uint8_t> key)
 {
-    const size_t nk = key.size() / 4; // key words
-    size_t nr;
-    switch (key.size()) {
-      case 16:
-        nr = 10;
-        break;
-      case 24:
-        nr = 12;
-        break;
-      case 32:
-        nr = 14;
-        break;
-      default:
-        fatal("Aes: key must be 16, 24 or 32 bytes, got ", key.size());
-    }
+    std::vector<uint8_t> schedule(scheduleBytes(key.size()));
+    uint32_t w[kMaxScheduleWords];
+    deriveWords(key, w, schedule.size() / 4);
+    for (size_t i = 0; i < schedule.size(); ++i)
+        schedule[i] = static_cast<uint8_t>(w[i / 4] >> (8 * (i % 4)));
+    return schedule;
+}
 
-    const size_t total_words = 4 * (nr + 1);
-    std::vector<uint8_t> w(total_words * 4);
-    std::memcpy(w.data(), key.data(), key.size());
-
-    uint8_t rcon = 1;
-    for (size_t i = nk; i < total_words; ++i) {
-        uint8_t temp[4];
-        std::memcpy(temp, w.data() + (i - 1) * 4, 4);
-        if (i % nk == 0) {
-            // RotWord + SubWord + Rcon
-            const uint8_t t0 = temp[0];
-            temp[0] = sbox()[temp[1]] ^ rcon;
-            temp[1] = sbox()[temp[2]];
-            temp[2] = sbox()[temp[3]];
-            temp[3] = sbox()[t0];
-            rcon = gmul(rcon, 2);
-        } else if (nk > 6 && i % nk == 4) {
-            for (int b = 0; b < 4; ++b)
-                temp[b] = sbox()[temp[b]];
-        }
-        for (int b = 0; b < 4; ++b)
-            w[i * 4 + b] = w[(i - nk) * 4 + b] ^ temp[b];
-    }
-    return w;
+size_t
+Aes::scheduleDistance(std::span<const uint8_t> key,
+                      std::span<const uint8_t> window, size_t first_word,
+                      size_t end_word, size_t bound)
+{
+    if (end_word * 4 > std::min(window.size(), scheduleBytes(key.size())))
+        fatal("Aes: distance range of ", end_word,
+              " words overruns the window or schedule");
+    uint32_t w[kMaxScheduleWords];
+    return deriveWords(key, w, end_word, window.data(), first_word, bound);
 }
 
 Aes::Aes(std::span<const uint8_t> key)

@@ -8,14 +8,17 @@
  * schedule's algebraic structure is what the KeyFinder scanner exploits
  * to locate keys in memory dumps (as in the original cold boot attack).
  *
- * This implementation favours clarity and auditability over speed; it is
- * a victim model, not a production cipher.
+ * The block cipher favours clarity and auditability over speed; it is a
+ * victim model, not a production cipher. The key schedule is on the key
+ * reconstruction's hot path, so its S-box word step is shared by
+ * expandKey() and the allocation-free scheduleDistance().
  */
 
 #ifndef VOLTBOOT_CRYPTO_AES_HH
 #define VOLTBOOT_CRYPTO_AES_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -56,6 +59,26 @@ class Aes
      * (shared with KeyFinder's candidate verification).
      */
     static std::vector<uint8_t> expandKey(std::span<const uint8_t> key);
+
+    /** Schedule size for a @p key_bytes-byte key: 176, 208 or 240.
+     * @throws FatalError for any other key size. */
+    static size_t scheduleBytes(size_t key_bytes);
+
+    /**
+     * Bit disagreement between @p window and the schedule of @p key,
+     * counted over schedule words [@p first_word, @p end_word). The
+     * schedule is derived word by word on the stack, and each word's
+     * popcount is added as soon as it is derived; once the running count
+     * reaches @p bound the rest is skipped. The result is therefore
+     * exact when it is below @p bound and some value >= @p bound
+     * otherwise, which is all a caller comparing "d < bound" needs.
+     * @throws FatalError for a bad key size, or when @p window or the
+     *         schedule is shorter than @p end_word words.
+     */
+    static size_t scheduleDistance(std::span<const uint8_t> key,
+                                   std::span<const uint8_t> window,
+                                   size_t first_word, size_t end_word,
+                                   size_t bound = SIZE_MAX);
 
     /** The AES S-box (exposed for KeyFinder's schedule checks). */
     static const std::array<uint8_t, 256> &sbox();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstring>
 #include <numeric>
 
@@ -16,16 +17,16 @@ namespace
 
 /** Bit disagreement between the schedule of @p key and @p window,
  * counted over the WHOLE window (key bytes included, since the observed
- * key bytes may themselves be corrupted). */
+ * key bytes may themselves be corrupted). Exact below @p bound, some
+ * value >= @p bound otherwise: every search comparison below is
+ * "d < bar" with the bar passed as the bound, so stopping early never
+ * changes a decision. */
 size_t
 scheduleDistance(std::span<const uint8_t> key,
-                 std::span<const uint8_t> window)
+                 std::span<const uint8_t> window, size_t bound = SIZE_MAX)
 {
-    const std::vector<uint8_t> ideal = Aes::expandKey(key);
-    size_t errors = 0;
-    for (size_t i = 0; i < ideal.size(); ++i)
-        errors += std::popcount(static_cast<uint8_t>(window[i] ^ ideal[i]));
-    return errors;
+    return Aes::scheduleDistance(
+        key, window, 0, Aes::scheduleBytes(key.size()) / 4, bound);
 }
 
 inline uint32_t
@@ -96,13 +97,17 @@ KeyCorrector::attempt(std::span<const uint8_t> window, size_t key_bytes,
 {
     if (key_bytes != 16 && key_bytes != 24 && key_bytes != 32)
         fatal("KeyCorrector: unsupported key size ", key_bytes);
-    const size_t schedule_bytes = Aes::expandKey(
-        std::vector<uint8_t>(key_bytes, 0)).size();
+    const size_t schedule_bytes = Aes::scheduleBytes(key_bytes);
     if (window.size() < schedule_bytes)
         fatal("KeyCorrector: window smaller than a schedule");
     if (!bit_priors.empty() && bit_priors.size() != key_bytes * 8)
         fatal("KeyCorrector: bit_priors must hold one entry per key "
               "bit, got ", bit_priors.size());
+    // A NaN would break the prior order's strict weak ordering.
+    for (size_t i = 0; i < bit_priors.size(); ++i)
+        if (!std::isfinite(bit_priors[i]))
+            fatal("KeyCorrector: bit prior ", i, " is not finite (",
+                  bit_priors[i], ")");
 
     CorrectionAttempt out;
     const size_t key_bits = key_bytes * 8;
@@ -130,16 +135,16 @@ KeyCorrector::attempt(std::span<const uint8_t> window, size_t key_bytes,
     GiveUpReason stalled = GiveUpReason::None;
 
     // Candidate order: uniform sweep by default; when per-bit flip
-    // priors are supplied, descending likelihood (stable, so equal
-    // priors fall back to bit order and the search stays deterministic).
+    // priors are supplied, descending likelihood with equal priors in
+    // bit order, so the search stays deterministic.
     std::vector<size_t> order;
     if (!bit_priors.empty()) {
         order.resize(key_bits);
         std::iota(order.begin(), order.end(), size_t{0});
-        std::stable_sort(order.begin(), order.end(),
-                         [&](size_t a, size_t b) {
-                             return bit_priors[a] > bit_priors[b];
-                         });
+        std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+            return bit_priors[a] > bit_priors[b] ||
+                   (bit_priors[a] == bit_priors[b] && a < b);
+        });
     }
 
     // Greedy descent over single key-bit flips. The schedule's
@@ -159,7 +164,7 @@ KeyCorrector::attempt(std::span<const uint8_t> window, size_t key_bytes,
             size_t best_bit = SIZE_MAX;
             for (size_t bit = 0; bit < key_bits; ++bit) {
                 key[bit / 8] ^= 1u << (bit % 8);
-                const size_t d = scheduleDistance(key, window);
+                const size_t d = scheduleDistance(key, window, best_after);
                 key[bit / 8] ^= 1u << (bit % 8);
                 ++evals;
                 if (d < best_after) {
@@ -179,7 +184,7 @@ KeyCorrector::attempt(std::span<const uint8_t> window, size_t key_bytes,
             size_t hit = SIZE_MAX;
             for (size_t bit : order) {
                 key[bit / 8] ^= 1u << (bit % 8);
-                const size_t d = scheduleDistance(key, window);
+                const size_t d = scheduleDistance(key, window, best);
                 ++evals;
                 if (d < best) {
                     best = d;
@@ -212,7 +217,7 @@ KeyCorrector::attempt(std::span<const uint8_t> window, size_t key_bytes,
             key[i / 8] ^= 1u << (i % 8);
             for (size_t j = i + 1; j < key_bits; ++j) {
                 key[j / 8] ^= 1u << (j % 8);
-                const size_t d = scheduleDistance(key, window);
+                const size_t d = scheduleDistance(key, window, best_after);
                 key[j / 8] ^= 1u << (j % 8);
                 ++evals;
                 if (d < best_after) {
@@ -264,26 +269,20 @@ double
 RobustKeyScanner::firstRoundMismatch(std::span<const uint8_t> window,
                                      size_t key_bytes)
 {
-    // Regenerate only as far as the first derived round (16 bytes past
-    // the key) and compare. Key-bit errors perturb a handful of these
-    // bits; random data disagrees on about half.
-    const std::vector<uint8_t> ideal =
-        Aes::expandKey(window.subspan(0, key_bytes));
-    size_t errors = 0;
-    const size_t begin = key_bytes;
-    const size_t end = key_bytes + 16;
-    for (size_t i = begin; i < end; ++i)
-        errors += std::popcount(
-            static_cast<uint8_t>(window[i] ^ ideal[i]));
-    return static_cast<double>(errors) / (16.0 * 8.0);
+    // Regenerate only the first derived round (the four words past the
+    // key) and compare. Key-bit errors perturb a handful of these bits;
+    // random data disagrees on about half.
+    const size_t nk = key_bytes / 4;
+    return static_cast<double>(Aes::scheduleDistance(
+               window.subspan(0, key_bytes), window, nk, nk + 4)) /
+           (16.0 * 8.0);
 }
 
 std::vector<RobustScanHit>
 RobustKeyScanner::scan(const MemoryImage &image, size_t key_bytes) const
 {
     std::vector<RobustScanHit> hits;
-    const size_t schedule_bytes =
-        Aes::expandKey(std::vector<uint8_t>(key_bytes, 0)).size();
+    const size_t schedule_bytes = Aes::scheduleBytes(key_bytes);
     const auto &bytes = image.bytes();
     if (bytes.size() < schedule_bytes)
         return hits;

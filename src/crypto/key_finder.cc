@@ -1,7 +1,6 @@
 #include "crypto/key_finder.hh"
 
 #include <algorithm>
-#include <bit>
 
 #include "sim/logging.hh"
 
@@ -12,15 +11,12 @@ size_t
 KeyFinder::scheduleBitErrors(std::span<const uint8_t> window,
                              size_t key_bytes)
 {
-    const std::vector<uint8_t> ideal =
-        Aes::expandKey(window.subspan(0, key_bytes));
-    if (window.size() < ideal.size())
+    const size_t schedule_bytes = Aes::scheduleBytes(key_bytes);
+    if (window.size() < schedule_bytes)
         panic("KeyFinder: window smaller than a full schedule");
-    size_t errors = 0;
     // The first key_bytes match by construction; score the derived part.
-    for (size_t i = key_bytes; i < ideal.size(); ++i)
-        errors += std::popcount(static_cast<uint8_t>(window[i] ^ ideal[i]));
-    return errors;
+    return Aes::scheduleDistance(window.subspan(0, key_bytes), window,
+                                 key_bytes / 4, schedule_bytes / 4);
 }
 
 std::vector<KeyCandidate>

@@ -165,9 +165,7 @@ KeyRecoveryEngine::recoverImage(
         if (kb != 16 && kb != 24 && kb != 32)
             fatal("KeyRecoveryEngine: unsupported correction key size ",
                   kb);
-        const size_t schedule_bytes =
-            Aes::expandKey(std::vector<uint8_t>(kb, 0)).size();
-        appendTasks(tasks, true, kb, schedule_bytes, bytes.size(),
+        appendTasks(tasks, true, kb, Aes::scheduleBytes(kb), bytes.size(),
                     config_.scan.stride, config_.chunk_offsets);
     }
 

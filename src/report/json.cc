@@ -144,8 +144,18 @@ class Parser
             fail("unexpected end of input, expected a JSON value");
         const char c = text_[pos_];
         switch (c) {
-          case '{': return parseObject();
-          case '[': return parseArray();
+          case '{':
+          case '[': {
+            // Each level is one recursion; a hostile file must not be
+            // able to exhaust the stack.
+            if (depth_ == kMaxJsonDepth)
+                fail("nesting deeper than " +
+                     std::to_string(kMaxJsonDepth) + " levels");
+            ++depth_;
+            JsonValue v = c == '{' ? parseObject() : parseArray();
+            --depth_;
+            return v;
+          }
           case '"': return parseString();
           case 't': case 'f': return parseBool();
           case 'n': return parseNull();
@@ -389,6 +399,7 @@ class Parser
     size_t pos_ = 0;
     size_t line_;
     size_t column_ = 1;
+    size_t depth_ = 0; ///< Arrays and objects currently open.
 };
 
 } // namespace

@@ -40,6 +40,9 @@ namespace voltboot
 namespace report
 {
 
+/** Deepest array/object nesting parseJson accepts. */
+constexpr size_t kMaxJsonDepth = 512;
+
 /** Parse failure; the message embeds "<source>:<line>:<col>". */
 class JsonParseError : public FatalError
 {
@@ -106,6 +109,8 @@ struct JsonValue
 /**
  * Parse @p text as exactly one JSON document (leading/trailing
  * whitespace allowed, anything else after the value is an error).
+ * Arrays and objects nested more than kMaxJsonDepth deep are an error
+ * at the bracket that opens the level too many.
  *
  * @param source      Name used in diagnostics (file path, "<string>").
  * @param first_line  Line number of @p text's first line, so callers

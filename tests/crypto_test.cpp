@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstring>
 
 #include "crypto/aes.hh"
@@ -82,6 +83,50 @@ TEST(Aes, ScheduleSizes)
     EXPECT_EQ(Aes::expandKey(std::vector<uint8_t>(24, 0)).size(), 208u);
     EXPECT_EQ(Aes::expandKey(std::vector<uint8_t>(32, 0)).size(), 240u);
     EXPECT_THROW(Aes::expandKey(std::vector<uint8_t>(17, 0)), FatalError);
+}
+
+TEST(Aes, ScheduleBytesMatchesTheExpansion)
+{
+    for (size_t kb : {16u, 24u, 32u})
+        EXPECT_EQ(Aes::scheduleBytes(kb),
+                  Aes::expandKey(std::vector<uint8_t>(kb, 0)).size());
+    EXPECT_THROW(Aes::scheduleBytes(17), FatalError);
+}
+
+TEST(Aes, ScheduleDistanceIsExactBelowItsBound)
+{
+    Rng rng(123);
+    for (size_t kb : {16u, 24u, 32u}) {
+        const size_t bytes = Aes::scheduleBytes(kb);
+        std::vector<uint8_t> key(kb), window(bytes);
+        for (auto &b : key)
+            b = static_cast<uint8_t>(rng.next());
+        const auto sched = Aes::expandKey(key);
+        // A window near the schedule: a few flipped bits per word.
+        for (size_t i = 0; i < bytes; ++i)
+            window[i] = sched[i] ^ static_cast<uint8_t>(
+                                       rng.next() & rng.next() & rng.next());
+        for (size_t first : {size_t{0}, kb / 4}) {
+            for (size_t end : {kb / 4 + 4, bytes / 4}) {
+                size_t full = 0;
+                for (size_t i = first * 4; i < end * 4; ++i)
+                    full += std::popcount(
+                        static_cast<uint8_t>(window[i] ^ sched[i]));
+                EXPECT_EQ(Aes::scheduleDistance(key, window, first, end),
+                          full);
+                for (size_t bound = 0; bound <= full + 2; ++bound) {
+                    const size_t d = Aes::scheduleDistance(
+                        key, window, first, end, bound);
+                    if (full < bound)
+                        EXPECT_EQ(d, full) << "bound " << bound;
+                    else
+                        EXPECT_GE(d, bound) << "bound " << bound;
+                }
+            }
+        }
+        EXPECT_THROW(Aes::scheduleDistance(key, window, 0, bytes / 4 + 1),
+                     FatalError);
+    }
 }
 
 TEST(Aes, ScheduleStartsWithMasterKey)

@@ -7,7 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
+#include <limits>
+#include <numeric>
+#include <string>
 
 #include "crypto/aes.hh"
 #include "crypto/key_corrector.hh"
@@ -212,6 +217,288 @@ TEST(KeyCorrector, RejectsBadSizes)
     EXPECT_THROW(corrector.correct(window, 20), FatalError);
     std::vector<uint8_t> tiny(100, 0);
     EXPECT_THROW(corrector.correct(tiny, 16), FatalError);
+}
+
+TEST(KeyCorrector, RejectsNonFinitePriors)
+{
+    const auto sched = Aes::expandKey(testKey(16, 31));
+    KeyCorrector corrector;
+    for (float bad : {std::numeric_limits<float>::quiet_NaN(),
+                      std::numeric_limits<float>::infinity(),
+                      -std::numeric_limits<float>::infinity()}) {
+        std::vector<float> priors(128, 0.1f);
+        priors[77] = bad;
+        try {
+            corrector.attempt(sched, 16, priors);
+            ADD_FAILURE() << "accepted prior " << bad;
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("bit prior 77"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+// --- search parity against the unbounded search ----------------------
+
+/** Bit disagreement over the whole window, from a fully expanded
+ * schedule with no early exit. */
+size_t
+oracleDistance(std::span<const uint8_t> key, std::span<const uint8_t> window)
+{
+    const std::vector<uint8_t> ideal = Aes::expandKey(key);
+    size_t errors = 0;
+    for (size_t i = 0; i < ideal.size(); ++i)
+        errors += std::popcount(static_cast<uint8_t>(window[i] ^ ideal[i]));
+    return errors;
+}
+
+/**
+ * The corrector's search as it stood before the bounded distance: every
+ * candidate schedule expanded in full and scored exactly, and the prior
+ * order built with stable_sort. KeyCorrector::attempt must reproduce its
+ * every decision and counter.
+ */
+CorrectionAttempt
+oracleAttempt(const KeyCorrectorConfig &config,
+              std::span<const uint8_t> window, size_t key_bytes,
+              std::span<const float> bit_priors)
+{
+    CorrectionAttempt out;
+    const size_t schedule_bytes = Aes::scheduleBytes(key_bytes);
+    const size_t key_bits = key_bytes * 8;
+    const double schedule_bits = static_cast<double>(schedule_bytes * 8);
+    std::vector<uint8_t> key(window.begin(), window.begin() + key_bytes);
+
+    if (KeyCorrector::linearResidualFraction(window, key_bytes) >
+        config.give_up_residual) {
+        out.gave_up = GiveUpReason::ErrorFloor;
+        out.residual_bit_errors = oracleDistance(key, window);
+        out.distance_evals = 1;
+        return out;
+    }
+
+    size_t best = oracleDistance(key, window);
+    size_t evals = 1;
+    size_t flips = 0;
+    size_t iterations = 0;
+    GiveUpReason stalled = GiveUpReason::None;
+
+    std::vector<size_t> order;
+    if (!bit_priors.empty()) {
+        order.resize(key_bits);
+        std::iota(order.begin(), order.end(), size_t{0});
+        std::stable_sort(order.begin(), order.end(),
+                         [&](size_t a, size_t b) {
+                             return bit_priors[a] > bit_priors[b];
+                         });
+    }
+
+    bool improved = true;
+    while (improved && iterations < config.max_iterations && best > 0) {
+        improved = false;
+        size_t best_after = best;
+        if (order.empty()) {
+            size_t best_bit = SIZE_MAX;
+            for (size_t bit = 0; bit < key_bits; ++bit) {
+                key[bit / 8] ^= 1u << (bit % 8);
+                const size_t d = oracleDistance(key, window);
+                key[bit / 8] ^= 1u << (bit % 8);
+                ++evals;
+                if (d < best_after) {
+                    best_after = d;
+                    best_bit = bit;
+                }
+            }
+            ++iterations;
+            if (best_bit != SIZE_MAX) {
+                key[best_bit / 8] ^= 1u << (best_bit % 8);
+                best = best_after;
+                ++flips;
+                improved = true;
+                continue;
+            }
+        } else {
+            size_t hit = SIZE_MAX;
+            for (size_t bit : order) {
+                key[bit / 8] ^= 1u << (bit % 8);
+                const size_t d = oracleDistance(key, window);
+                ++evals;
+                if (d < best) {
+                    best = d;
+                    hit = bit;
+                    break;
+                }
+                key[bit / 8] ^= 1u << (bit % 8);
+            }
+            ++iterations;
+            if (hit != SIZE_MAX) {
+                ++flips;
+                improved = true;
+                continue;
+            }
+            best_after = best;
+        }
+        if (static_cast<double>(best) / schedule_bits <=
+            config.accept_threshold)
+            break;
+        if (static_cast<double>(best) / schedule_bits >
+            config.lookahead_threshold) {
+            stalled = GiveUpReason::ErrorFloor;
+            break;
+        }
+        size_t best_i = SIZE_MAX, best_j = SIZE_MAX;
+        for (size_t i = 0; i + 1 < key_bits; ++i) {
+            key[i / 8] ^= 1u << (i % 8);
+            for (size_t j = i + 1; j < key_bits; ++j) {
+                key[j / 8] ^= 1u << (j % 8);
+                const size_t d = oracleDistance(key, window);
+                key[j / 8] ^= 1u << (j % 8);
+                ++evals;
+                if (d < best_after) {
+                    best_after = d;
+                    best_i = i;
+                    best_j = j;
+                }
+            }
+            key[i / 8] ^= 1u << (i % 8);
+        }
+        if (best_i != SIZE_MAX) {
+            key[best_i / 8] ^= 1u << (best_i % 8);
+            key[best_j / 8] ^= 1u << (best_j % 8);
+            best = best_after;
+            flips += 2;
+            improved = true;
+        }
+    }
+
+    out.iterations = iterations;
+    out.distance_evals = evals;
+    out.residual_bit_errors = best;
+    if (static_cast<double>(best) / schedule_bits <=
+        config.accept_threshold) {
+        CorrectedKey fixed;
+        fixed.key = std::move(key);
+        fixed.residual_bit_errors = best;
+        fixed.key_bits_flipped = flips;
+        fixed.iterations = iterations;
+        out.key = std::move(fixed);
+    } else if (stalled != GiveUpReason::None) {
+        out.gave_up = stalled;
+    } else if (iterations >= config.max_iterations) {
+        out.gave_up = GiveUpReason::MaxIterations;
+    } else {
+        out.gave_up = GiveUpReason::Residual;
+    }
+    return out;
+}
+
+/** Per-key-bit priors for @p key_bytes: none, informative (random, with
+ * the bits that really flipped boosted), or quantised to a few levels
+ * (including +0 and -0) so most comparisons are ties. */
+std::vector<float>
+parityPriors(int mode, std::span<const uint8_t> truth,
+             std::span<const uint8_t> window, Rng &rng)
+{
+    std::vector<float> priors;
+    if (mode == 0)
+        return priors;
+    priors.resize(truth.size() * 8);
+    static constexpr float kLevels[] = {0.3f, 0.1f, 0.0f, -0.0f, 0.1f};
+    for (size_t bit = 0; bit < priors.size(); ++bit) {
+        const bool flipped =
+            ((truth[bit / 8] ^ window[bit / 8]) >> (bit % 8)) & 1;
+        if (mode == 1)
+            priors[bit] = flipped ? 0.4f
+                                  : static_cast<float>(rng.uniform() * 0.2);
+        else
+            priors[bit] = kLevels[rng.next() % 5];
+    }
+    return priors;
+}
+
+TEST(KeyCorrector, BoundedSearchMatchesTheUnboundedOracle)
+{
+    // Window kinds: corrupted schedules over a range of bit-error rates,
+    // a schedule read one word off its start (schedule-like, but no
+    // key's schedule), and random data.
+    static constexpr double kBers[] = {0.0, 0.004, 0.012, 0.03, 0.06};
+    // Wider keys make pairwise sweeps of ~2-3e4 oracle expansions each.
+    // From this kind on they stall above the acceptance bar repeatedly,
+    // so they run under the one-iteration cap only.
+    static constexpr size_t kWideNoisyFrom = 2;
+    KeyCorrectorConfig defaults;
+    KeyCorrectorConfig capped; // runs into MaxIterations
+    capped.max_iterations = 1;
+    KeyCorrectorConfig strict; // stalls below the lookahead bar
+    strict.accept_threshold = 0.002;
+
+    size_t windows = 0, pairwise = 0;
+    size_t reasons[4] = {};
+    for (size_t kb : {16u, 24u, 32u}) {
+        const size_t sched_bytes = Aes::scheduleBytes(kb);
+        for (uint64_t seed = 0; seed < 4; ++seed) {
+            const auto truth = testKey(kb, 1000 + kb * 10 + seed);
+            const auto clean = Aes::expandKey(truth);
+            std::vector<std::vector<uint8_t>> kinds;
+            for (double ber : kBers)
+                kinds.push_back(corrupt(clean, ber, 7000 + seed));
+            std::vector<uint8_t> shifted(clean.begin() + 4, clean.end());
+            shifted.resize(sched_bytes, 0x5a);
+            kinds.push_back(shifted);
+            kinds.push_back(corrupt(std::vector<uint8_t>(sched_bytes, 0),
+                                    0.5, 9000 + seed));
+            for (size_t k = 0; k < kinds.size(); ++k) {
+                const auto &window = kinds[k];
+                for (int mode = 0; mode < 3; ++mode) {
+                    Rng rng(seed * 31 + static_cast<uint64_t>(mode));
+                    const auto priors = parityPriors(
+                        mode, truth, std::span(window).first(kb), rng);
+                    for (const KeyCorrectorConfig *cfg :
+                         {&defaults, &capped, &strict}) {
+                        if (kb > 16 && cfg != &capped &&
+                            (cfg == &strict || k >= kWideNoisyFrom))
+                            continue;
+                        const CorrectionAttempt want =
+                            oracleAttempt(*cfg, window, kb, priors);
+                        const CorrectionAttempt got =
+                            KeyCorrector(*cfg).attempt(window, kb, priors);
+                        SCOPED_TRACE(testing::Message()
+                                     << "kb " << kb << " seed " << seed
+                                     << " window " << windows
+                                     << " prior mode " << mode);
+                        ASSERT_EQ(got.key.has_value(),
+                                  want.key.has_value());
+                        if (want.key) {
+                            EXPECT_EQ(got.key->key, want.key->key);
+                            EXPECT_EQ(got.key->residual_bit_errors,
+                                      want.key->residual_bit_errors);
+                            EXPECT_EQ(got.key->key_bits_flipped,
+                                      want.key->key_bits_flipped);
+                            EXPECT_EQ(got.key->iterations,
+                                      want.key->iterations);
+                        }
+                        EXPECT_EQ(got.gave_up, want.gave_up);
+                        EXPECT_EQ(got.iterations, want.iterations);
+                        EXPECT_EQ(got.distance_evals, want.distance_evals);
+                        EXPECT_EQ(got.residual_bit_errors,
+                                  want.residual_bit_errors);
+                        ++windows;
+                        ++reasons[static_cast<int>(want.gave_up)];
+                        pairwise += want.distance_evals >
+                                    1 + want.iterations * kb * 8;
+                    }
+                }
+            }
+        }
+    }
+    // The grid must reach every way a search can end, and the pairwise
+    // lookahead.
+    EXPECT_GE(windows, 300u);
+    for (size_t r = 0; r < 4; ++r)
+        EXPECT_GT(reasons[r], 0u)
+            << toString(static_cast<GiveUpReason>(r));
+    EXPECT_GT(pairwise, 0u);
 }
 
 // --- the classic DRAM cold boot, end to end on our substrate ---

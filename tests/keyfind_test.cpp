@@ -356,6 +356,37 @@ TEST(KeyfindPrior, FusionRecoversWhatSingleDumpsCannot)
     EXPECT_EQ(*best, key);
 }
 
+TEST(KeyRecoveryEngine, CorrectionStatsArePinned)
+{
+    // Every search decision of the corrector shows in these counters.
+    // They were recorded with the unbounded, allocating distance; a
+    // faster distance must reproduce them exactly.
+    const auto key = testKey(16, 75);
+    const MemoryImage truth =
+        plantedImage(16384, key, 0.0, 888, {0x400, 0x1800, 0x2c00});
+    std::vector<MemoryImage> dumps;
+    for (uint64_t d = 0; d < 3; ++d)
+        dumps.push_back(
+            MemoryImage(corrupt(truth.bytes(), 0.03, 1200 + d)));
+
+    auto pinned = [](const keyfind::CorrectionStats &c) {
+        return std::vector<uint64_t>{c.attempted,
+                                     c.accepted,
+                                     c.gave_up_residual,
+                                     c.gave_up_error_floor,
+                                     c.gave_up_max_iterations,
+                                     c.iterations,
+                                     c.distance_evals};
+    };
+    const keyfind::KeyRecoveryEngine engine;
+    // Blind search on one dump, and the fused dumps' prior-guided search.
+    EXPECT_EQ(pinned(engine.recover(dumps[0]).correction),
+              (std::vector<uint64_t>{41, 1, 4, 36, 0, 78, 99433}));
+    EXPECT_EQ(pinned(engine.recover(std::span<const MemoryImage>(dumps))
+                         .correction),
+              (std::vector<uint64_t>{37, 3, 9, 25, 0, 107, 208872}));
+}
+
 TEST(KeyfindTelemetry, CountersTallyScanAndCorrectionWork)
 {
     telemetry::resetCounters();

@@ -129,6 +129,68 @@ TEST(ReportJson, RejectsTrailingContentAndBadGrammar)
     EXPECT_THROW(report::parseJson(""), report::JsonParseError);
 }
 
+/** @p depth nested arrays, or objects keyed "a", around a 1. */
+std::string
+nestedJson(size_t depth, bool objects)
+{
+    std::string text;
+    for (size_t i = 0; i < depth; ++i)
+        text += objects ? "{\"a\": " : "[";
+    text += "1";
+    text += std::string(depth, objects ? '}' : ']');
+    return text;
+}
+
+TEST(ReportJson, RejectsNestingPastTheLimitAtItsBracket)
+{
+    for (bool objects : {false, true}) {
+        EXPECT_NO_THROW(
+            report::parseJson(nestedJson(report::kMaxJsonDepth, objects)));
+        try {
+            report::parseJson(
+                nestedJson(report::kMaxJsonDepth + 1, objects), "deep");
+            ADD_FAILURE() << "accepted nesting past the limit";
+        } catch (const report::JsonParseError &e) {
+            // The bracket that opens level kMaxJsonDepth + 1.
+            const size_t level_width = objects ? 6 : 1;
+            EXPECT_EQ(e.line(), 1u);
+            EXPECT_EQ(e.column(), report::kMaxJsonDepth * level_width + 1);
+            EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(ReportJson, HostileNestingFailsCleanlyInEveryReader)
+{
+    // 30,000 levels used to overflow the stack of the recursive parser.
+    const std::string dir = tempDir("deep_nesting");
+    for (bool objects : {false, true}) {
+        const std::string deep = nestedJson(30000, objects);
+        EXPECT_THROW(report::parseSweepJson(deep, "sweep.json"),
+                     report::JsonParseError);
+        EXPECT_THROW(report::readTraceLine(deep, "t.jsonl", 1),
+                     report::JsonParseError);
+        EXPECT_THROW(report::readTrace(deep + "\n", "t.jsonl"),
+                     report::JsonParseError);
+
+        // The heartbeat reader drops unparseable lines and keeps going.
+        const std::string path = dir + "/hb.jsonl";
+        {
+            std::ofstream out(path, std::ios::binary);
+            out << deep << "\n"
+                << R"({"schema": "voltboot-heartbeat-v1", "seq": 5})"
+                << "\n";
+        }
+        const std::vector<report::Heartbeat> beats =
+            report::readHeartbeats(path);
+        ASSERT_EQ(beats.size(), 1u);
+        EXPECT_EQ(beats[0].seq, 5u);
+    }
+    std::filesystem::remove_all(dir);
+}
+
 // --- trace reader round trip -----------------------------------------
 
 /** A deliberately adversarial event sequence: fractional timestamps
@@ -1244,6 +1306,24 @@ TEST(Cli, ReportCampaignEndToEnd)
         dir);
     EXPECT_EQ(metrics.exit_code, 0) << metrics.err;
     EXPECT_NE(metrics.out.find("\"counters\""), std::string::npos);
+}
+
+TEST(Cli, ReportRejectsHostileNestingWithExitOne)
+{
+    // Used to segfault (exit 139): 30,000 levels exhausted the stack.
+    const std::string dir = tempDir("cli_deep");
+    const std::string path = dir + "/deep.json";
+    CampaignResult::writeFile(path, nestedJson(30000, false));
+    for (const char *sub : {"campaign", "trace"}) {
+        const CliResult r =
+            runCli(std::string("report ") + sub + " " + path, dir);
+        EXPECT_EQ(r.exit_code, 1) << sub;
+        EXPECT_NE(r.err.find("deep.json:1:" +
+                             std::to_string(report::kMaxJsonDepth + 1) +
+                             ": nesting deeper than"),
+                  std::string::npos)
+            << sub << ": " << r.err;
+    }
 }
 
 TEST(Cli, SweepRejectsAnUnwritableHeartbeatPath)
