@@ -16,7 +16,7 @@
 #include "bench_util.hh"
 #include "core/analysis.hh"
 #include "crypto/aes.hh"
-#include "crypto/key_corrector.hh"
+#include "keyfind/engine.hh"
 #include "sim/rng.hh"
 #include "soc/soc.hh"
 
@@ -58,10 +58,13 @@ run(double celsius, Seconds off_time, uint64_t seed)
             static_cast<uint8_t>(window[i] ^ sched[i]));
     t.ber = static_cast<double>(errs) / (176 * 8);
 
-    RobustKeyScanner scanner{KeyCorrector{}};
-    const auto hit = scanner.best(MemoryImage(window), 16);
-    t.recovered = hit && hit->corrected.key == key;
-    t.flips = hit ? hit->corrected.key_bits_flipped : 0;
+    keyfind::KeyRecoveryConfig kcfg;
+    kcfg.use_priors = false;
+    const auto hits = keyfind::KeyRecoveryEngine(kcfg)
+                          .recover(MemoryImage(window))
+                          .corrected_hits;
+    t.recovered = !hits.empty() && hits.front().corrected.key == key;
+    t.flips = hits.empty() ? 0 : hits.front().corrected.key_bits_flipped;
     return t;
 }
 

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <type_traits>
@@ -35,47 +36,35 @@ split(const std::string &s, char sep)
     return out;
 }
 
+/** One sweep axis: its spec key, its `--list-axes` documentation, its
+ * physical range, and how it fills its SweepGrid list and its TrialSpec
+ * field. */
+struct Axis
+{
+    const char *key;
+    const char *unit;
+    std::string values; ///< Accepted values, for axesHelp().
+    /** Physical [min, max] of a numeric axis; unbounded for the name and
+     * 0|1 axes, whose parsers bound them instead. */
+    double min;
+    double max;
+    uint64_t (*size)(const SweepGrid &);
+    void (*apply)(const SweepGrid &, uint64_t i, TrialSpec &);
+    void (*parse)(SweepGrid &, const std::string &value, const Axis &);
+    std::string (*render)(const SweepGrid &);
+};
+
 template <class T>
 T
-parseNumberStrict(const std::string &text, const char *key)
+parseNumberStrict(const std::string &text, const Axis &axis)
 {
     const std::string t = trim(text);
     T value{};
     const auto [ptr, ec] =
         std::from_chars(t.data(), t.data() + t.size(), value);
     if (ec != std::errc() || ptr != t.data() + t.size())
-        fatal("malformed ", key, " value '", text, "'");
+        fatal("malformed ", axis.key, " value '", text, "'");
     return value;
-}
-
-/** One value of axis @p key, parsed by its element type's rule. */
-template <class T>
-T
-parseValue(const std::string &text, const char *key)
-{
-    if constexpr (std::is_same_v<T, std::string>) {
-        return trim(text);
-    } else if constexpr (std::is_same_v<T, TargetRam>) {
-        return targetFromString(trim(text));
-    } else if constexpr (std::is_same_v<T, AttackKind>) {
-        return attackFromString(trim(text));
-    } else if constexpr (std::is_same_v<T, double>) {
-        const double v = parseNumberStrict<double>(text, key);
-        if (!std::isfinite(v))
-            fatal("grid key '", key, "' value '", text, "' is not finite");
-        return v;
-    } else if constexpr (std::is_same_v<T, bool>) {
-        const uint64_t v = parseNumberStrict<uint64_t>(text, key);
-        if (v > 1)
-            fatal("grid key '", key, "' takes 0 or 1, got '", text, "'");
-        return v != 0;
-    } else { // counts: dumps, seeds
-        const uint64_t v = parseNumberStrict<uint64_t>(text, key);
-        if (v == 0)
-            fatal("grid key '", key, "' values must be >= 1, got '", text,
-                  "'");
-        return v;
-    }
 }
 
 std::string renderValue(const std::string &v) { return v; }
@@ -93,6 +82,43 @@ renderValue(double v)
     if (ec != std::errc())
         panic("renderValue: to_chars failed");
     return {buf, ptr};
+}
+
+/** fatal() unless @p value, spelled @p text, is finite and inside
+ * @p axis's physical range. */
+void
+requireInRange(const Axis &axis, double value, const std::string &text)
+{
+    if (!std::isfinite(value))
+        fatal("grid key '", axis.key, "' value '", text, "' is not finite");
+    if (value < axis.min || value > axis.max)
+        fatal("grid key '", axis.key, "' value '", text,
+              "' is outside its range [", renderValue(axis.min), ", ",
+              renderValue(axis.max), "] ", axis.unit);
+}
+
+/** One value of @p axis, parsed by its element type's rule. */
+template <class T>
+T
+parseValue(const std::string &text, const Axis &axis)
+{
+    if constexpr (std::is_same_v<T, std::string>) {
+        return trim(text);
+    } else if constexpr (std::is_same_v<T, TargetRam>) {
+        return targetFromString(trim(text));
+    } else if constexpr (std::is_same_v<T, AttackKind>) {
+        return attackFromString(trim(text));
+    } else if constexpr (std::is_same_v<T, bool>) {
+        const uint64_t v = parseNumberStrict<uint64_t>(text, axis);
+        if (v > 1)
+            fatal("grid key '", axis.key, "' takes 0 or 1, got '", text,
+                  "'");
+        return v != 0;
+    } else { // physical quantities and counts (dumps, seeds)
+        const T v = parseNumberStrict<T>(text, axis);
+        requireInRange(axis, static_cast<double>(v), text);
+        return v;
+    }
 }
 
 // --- Per-list rules: a value list, or the seed count whose values are
@@ -118,17 +144,17 @@ uint64_t listAt(uint64_t, uint64_t i) { return i; }
 
 template <class T>
 void
-parseList(std::vector<T> &list, const std::string &value, const char *key)
+parseList(std::vector<T> &list, const std::string &value, const Axis &axis)
 {
     list.clear();
     for (const std::string &item : split(value, ','))
-        list.push_back(parseValue<T>(item, key));
+        list.push_back(parseValue<T>(item, axis));
 }
 
 void
-parseList(uint64_t &count, const std::string &value, const char *key)
+parseList(uint64_t &count, const std::string &value, const Axis &axis)
 {
-    count = parseValue<uint64_t>(value, key);
+    count = parseValue<uint64_t>(value, axis);
 }
 
 template <class T>
@@ -146,30 +172,20 @@ renderList(const std::vector<T> &list)
 
 std::string renderList(uint64_t count) { return std::to_string(count); }
 
-/** One sweep axis: its spec key, its `--list-axes` documentation, and
- * how it fills its SweepGrid list and its TrialSpec field. */
-struct Axis
-{
-    const char *key;
-    const char *unit;
-    std::string values; ///< Accepted values, for axesHelp().
-    uint64_t (*size)(const SweepGrid &);
-    void (*apply)(const SweepGrid &, uint64_t i, TrialSpec &);
-    void (*parse)(SweepGrid &, const std::string &value, const char *key);
-    std::string (*render)(const SweepGrid &);
-};
+constexpr double kUnbounded = std::numeric_limits<double>::infinity();
 
 template <auto List, auto Field>
 Axis
-axis(const char *key, const char *unit, std::string values)
+axis(const char *key, const char *unit, std::string values,
+     double min = -kUnbounded, double max = kUnbounded)
 {
-    return {key, unit, std::move(values),
+    return {key, unit, std::move(values), min, max,
             [](const SweepGrid &g) { return listSize(g.*List); },
             [](const SweepGrid &g, uint64_t i, TrialSpec &s) {
                 s.*Field = listAt(g.*List, i);
             },
-            [](SweepGrid &g, const std::string &value, const char *k) {
-                parseList(g.*List, value, k);
+            [](SweepGrid &g, const std::string &value, const Axis &a) {
+                parseList(g.*List, value, a);
             },
             [](const SweepGrid &g) { return renderList(g.*List); }};
 }
@@ -179,6 +195,11 @@ axis(const char *key, const char *unit, std::string values)
  * axesHelp() and the at() decode. Defaults are SweepGrid's member
  * initialisers. Adding an axis is one row here plus its SweepGrid list
  * and TrialSpec field.
+ *
+ * Numeric rows end in their physical [min, max]: temperatures from just
+ * below liquid-nitrogen cooling to the silicon junction limit, times up
+ * to a day (off-ms) or a second (ns axes), rail excursions up to 5 V,
+ * and counts from 1. The CLI's attack flags check the same rows.
  */
 const std::vector<Axis> &
 axes()
@@ -191,35 +212,42 @@ axes()
         axis<&SweepGrid::attacks, &TrialSpec::attack>(
             "attack", "-", joinNames(kAttackNames)),
         axis<&SweepGrid::temps_c, &TrialSpec::temp_c>(
-            "temp", "degC", "ambient temperature list"),
+            "temp", "degC", "ambient temperature list", -200.0, 150.0),
         axis<&SweepGrid::offs_ms, &TrialSpec::off_ms>(
-            "off-ms", "ms", "power-off time list"),
+            "off-ms", "ms", "power-off time list", 0.0, 86.4e6),
         axis<&SweepGrid::currents_a, &TrialSpec::current_a>(
-            "current", "A", "probe current-limit list"),
+            "current", "A", "probe current-limit list", 0.0, 100.0),
         axis<&SweepGrid::impedances_mohm, &TrialSpec::impedance_mohm>(
-            "impedance-mohm", "mohm", "probe source impedance list"),
+            "impedance-mohm", "mohm", "probe source impedance list",
+            0.0, 1e6),
         axis<&SweepGrid::glitch_offs_ns, &TrialSpec::glitch_off_ns>(
-            "glitch-off-ns", "ns", "pulse offset from victim entry"),
+            "glitch-off-ns", "ns", "pulse offset from victim entry", 0.0,
+            1e9),
         axis<&SweepGrid::glitch_widths_ns, &TrialSpec::glitch_width_ns>(
-            "glitch-width-ns", "ns", "pulse width (0 = no pulse)"),
+            "glitch-width-ns", "ns", "pulse width (0 = no pulse)", 0.0, 1e9),
         axis<&SweepGrid::glitch_depths_v, &TrialSpec::glitch_depth_v>(
-            "glitch-depth", "V", "droop below nominal (0 = no pulse)"),
+            "glitch-depth", "V", "droop below nominal (0 = no pulse)", 0.0,
+            5.0),
         axis<&SweepGrid::undervolt_depths_v, &TrialSpec::undervolt_depth_v>(
-            "undervolt-depth", "V", "static sag below nominal (0 = no ramp)"),
+            "undervolt-depth", "V", "static sag below nominal (0 = no ramp)",
+            0.0, 5.0),
         axis<&SweepGrid::holds_ns, &TrialSpec::hold_ns>(
-            "hold-ns", "ns", "undervolt hold time at the floor"),
+            "hold-ns", "ns", "undervolt hold time at the floor", 0.0, 1e9),
         axis<&SweepGrid::readout_rates, &TrialSpec::readout_rate>(
-            "readout-rate", "B/us", "frozen readout bandwidth (0 = unlimited)"),
+            "readout-rate", "B/us", "frozen readout bandwidth (0 = unlimited)",
+            0.0, 1e6),
         axis<&SweepGrid::cpa_windows_ns, &TrialSpec::cpa_window_ns>(
-            "cpa-window-ns", "ns", "CPA correlation window (0 = full block)"),
+            "cpa-window-ns", "ns", "CPA correlation window (0 = full block)",
+            0.0, 1e9),
         axis<&SweepGrid::dump_counts, &TrialSpec::dump_count>(
-            "dumps", "count", "power-cycle dumps fused per key-recovery trial"),
+            "dumps", "count", "power-cycle dumps fused per key-recovery trial",
+            1.0, 64.0),
         axis<&SweepGrid::use_priors, &TrialSpec::use_priors>(
             "prior", "0|1", "guide key correction by DRV decay priors"),
         axis<&SweepGrid::plant_key, &TrialSpec::plant_key>(
             "key", "0|1", "plant + scan an AES-128 schedule"),
         axis<&SweepGrid::seed_count, &TrialSpec::seed_index>(
-            "seeds", "count", "chip-seed replication axis"),
+            "seeds", "count", "chip-seed replication axis", 1.0, 1e9),
     };
     return table;
 }
@@ -318,11 +346,20 @@ SweepGrid::parse(const std::string &spec)
         if (const auto [first, fresh] = seen.emplace(key, value); !fresh)
             fatal("grid key '", key, "' given twice ('", first->second,
                   "' and '", value, "')");
-        found->parse(grid, value, found->key);
+        found->parse(grid, value, *found);
     }
     if (grid.size() == 0)
         fatal("grid describes zero trials");
     return grid;
+}
+
+void
+SweepGrid::checkRange(const std::string &key, double value)
+{
+    for (const Axis &a : axes())
+        if (key == a.key)
+            return requireInRange(a, value, renderValue(value));
+    panic("SweepGrid::checkRange: no axis '", key, "'");
 }
 
 std::string

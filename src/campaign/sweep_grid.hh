@@ -176,10 +176,16 @@ class SweepGrid
      * Parse a `key=v1,v2;...` spec (';' or newline separated, '#'
      * comments allowed). The keys are the axes axesHelp() lists.
      * Unknown or repeated keys, empty value lists, malformed or
-     * non-finite numbers and out-of-range counts are fatal(), with a
-     * message naming the key and the offending value.
+     * non-finite numbers and values outside an axis's physical range
+     * are fatal(), with a message naming the key and the offending
+     * value.
      */
     static SweepGrid parse(const std::string &spec);
+
+    /** fatal() unless @p value is finite and inside numeric axis
+     * @p key's physical range; the message names the key, the value
+     * and the range. */
+    static void checkRange(const std::string &key, double value);
 
     /** Canonical re-rendering of the spec (stable across parses). */
     std::string describe() const;

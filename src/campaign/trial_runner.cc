@@ -47,17 +47,6 @@ deriveTrialSeed(uint64_t campaign_seed, uint64_t trial_index)
     return hashCombine(campaign_seed, trial_index);
 }
 
-namespace
-{
-
-/** Victim staging result: what the attacker should recover. */
-struct Victim
-{
-    MemoryImage truth;
-    std::vector<uint8_t> planted_key; ///< Empty unless a key was staged.
-};
-
-/** Stage the standard victim for @p spec and capture ground truth. */
 Victim
 stageVictim(Soc &soc, const TrialSpec &spec, Rng &rng)
 {
@@ -141,6 +130,9 @@ dumpTarget(VoltBootAttack &attack, TargetRam target)
     }
     panic("bad TargetRam");
 }
+
+namespace
+{
 
 void
 score(TrialRecord &rec, const MemoryImage &dump, const Victim &victim)

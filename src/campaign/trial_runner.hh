@@ -22,13 +22,19 @@
 #define VOLTBOOT_CAMPAIGN_TRIAL_RUNNER_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "campaign/campaign_result.hh"
 #include "campaign/sweep_grid.hh"
 #include "soc/soc_config.hh"
+#include "sram/memory_image.hh"
 
 namespace voltboot
 {
+
+class Rng;
+class Soc;
+class VoltBootAttack;
 
 /** Board name to platform config ("pi3"|"pi4"|"imx53"); fatal() else. */
 SocConfig socConfigFor(const std::string &board);
@@ -38,6 +44,20 @@ uint64_t deriveChipSeed(uint64_t campaign_seed, uint64_t seed_index);
 
 /** The per-trial random stream seed. */
 uint64_t deriveTrialSeed(uint64_t campaign_seed, uint64_t trial_index);
+
+/** Victim staging result: what the attacker should recover. */
+struct Victim
+{
+    MemoryImage truth;
+    std::vector<uint8_t> planted_key; ///< Empty unless a key was staged.
+};
+
+/** Stage the standard victim for @p spec's target memory on a powered
+ * @p soc and capture ground truth; @p rng draws a planted key. */
+Victim stageVictim(Soc &soc, const TrialSpec &spec, Rng &rng);
+
+/** Extract @p target from core 0 after a Volt Boot power cycle. */
+MemoryImage dumpTarget(VoltBootAttack &attack, TargetRam target);
 
 /**
  * Run one trial to completion and score it. Throws (FatalError etc.) on

@@ -91,6 +91,18 @@ KeyCorrector::linearResidualFraction(std::span<const uint8_t> window,
            static_cast<double>(words.size() * 32);
 }
 
+double
+KeyCorrector::firstRoundMismatch(std::span<const uint8_t> window,
+                                 size_t key_bytes)
+{
+    // Regenerate only the first derived round (the four words past the
+    // key) and compare.
+    const size_t nk = key_bytes / 4;
+    return static_cast<double>(Aes::scheduleDistance(
+               window.subspan(0, key_bytes), window, nk, nk + 4)) /
+           (16.0 * 8.0);
+}
+
 CorrectionAttempt
 KeyCorrector::attempt(std::span<const uint8_t> window, size_t key_bytes,
                       std::span<const float> bit_priors) const
@@ -265,19 +277,6 @@ KeyCorrector::correct(std::span<const uint8_t> window,
     return attempt(window, key_bytes).key;
 }
 
-double
-RobustKeyScanner::firstRoundMismatch(std::span<const uint8_t> window,
-                                     size_t key_bytes)
-{
-    // Regenerate only the first derived round (the four words past the
-    // key) and compare. Key-bit errors perturb a handful of these bits;
-    // random data disagrees on about half.
-    const size_t nk = key_bytes / 4;
-    return static_cast<double>(Aes::scheduleDistance(
-               window.subspan(0, key_bytes), window, nk, nk + 4)) /
-           (16.0 * 8.0);
-}
-
 std::vector<RobustScanHit>
 RobustKeyScanner::scan(const MemoryImage &image, size_t key_bytes) const
 {
@@ -296,7 +295,8 @@ RobustKeyScanner::scan(const MemoryImage &image, size_t key_bytes) const
             all_same = window[i] == window[0];
         if (all_same)
             continue;
-        if (firstRoundMismatch(window, key_bytes) > prefilter_)
+        if (KeyCorrector::firstRoundMismatch(window, key_bytes) >
+            prefilter_)
             continue;
         if (auto fixed = corrector_.correct(window, key_bytes))
             hits.push_back(RobustScanHit{off, std::move(*fixed)});
@@ -307,15 +307,6 @@ RobustKeyScanner::scan(const MemoryImage &image, size_t key_bytes) const
                          b.corrected.residual_bit_errors;
               });
     return hits;
-}
-
-std::optional<RobustScanHit>
-RobustKeyScanner::best(const MemoryImage &image, size_t key_bytes) const
-{
-    auto hits = scan(image, key_bytes);
-    if (hits.empty())
-        return std::nullopt;
-    return std::move(hits.front());
 }
 
 } // namespace voltboot

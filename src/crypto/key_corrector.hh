@@ -161,6 +161,15 @@ class KeyCorrector
     static double linearResidualFraction(std::span<const uint8_t> window,
                                          size_t key_bytes);
 
+    /**
+     * Fraction of first-round bits disagreeing for @p window: its four
+     * first derived words against those regenerated from its key
+     * bytes. A few key-bit errors perturb a handful of these bits;
+     * random data disagrees on about half.
+     */
+    static double firstRoundMismatch(std::span<const uint8_t> window,
+                                     size_t key_bytes);
+
     const KeyCorrectorConfig &config() const { return config_; }
 
   private:
@@ -178,9 +187,11 @@ struct RobustScanHit
  * Slide over a memory image looking for *decayed* key schedules: windows
  * are pre-filtered by their first-round consistency (cheap; one key-bit
  * error perturbs only a few first-round bits, while random data
- * disagrees on ~50%), then handed to the KeyCorrector. This is what
- * recovers disk keys from a chilled, transplanted DRAM image — the
- * attack the paper's on-chip crypto schemes were designed to stop.
+ * disagrees on ~50%), then handed to the KeyCorrector.
+ *
+ * This is the tests' reference oracle for the correction stage of
+ * keyfind::KeyRecoveryEngine, which is the production path: with priors
+ * off, the engine's corrected hits must equal scan() exactly.
  */
 class RobustKeyScanner
 {
@@ -194,14 +205,6 @@ class RobustKeyScanner
     /** All correctable schedules in @p image, best first. */
     std::vector<RobustScanHit> scan(const MemoryImage &image,
                                     size_t key_bytes) const;
-
-    /** The single best hit, if any. */
-    std::optional<RobustScanHit> best(const MemoryImage &image,
-                                      size_t key_bytes) const;
-
-    /** Fraction of first-round bits disagreeing for @p window. */
-    static double firstRoundMismatch(std::span<const uint8_t> window,
-                                     size_t key_bytes);
 
   private:
     KeyCorrector corrector_;

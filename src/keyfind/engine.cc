@@ -63,15 +63,15 @@ runCorrectionTask(std::span<const uint8_t> bytes, const Task &task,
          off += config.scan.stride) {
         std::span<const uint8_t> window(bytes.data() + off,
                                         task.schedule_bytes);
-        // Same gauntlet as RobustKeyScanner: constant windows are never
-        // schedules, and a window whose first derived round already
-        // disagrees on more than the prefilter fraction is random data.
+        // Constant windows are never schedules (Rcon forbids them), and
+        // a window whose first derived round already disagrees on more
+        // than the prefilter fraction is random data.
         bool all_same = true;
         for (size_t i = 1; i < kb && all_same; ++i)
             all_same = window[i] == window[0];
         if (all_same)
             continue;
-        if (RobustKeyScanner::firstRoundMismatch(window, kb) >
+        if (KeyCorrector::firstRoundMismatch(window, kb) >
             config.prefilter_threshold)
             continue;
         ++result.correction.attempted;

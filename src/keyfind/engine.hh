@@ -19,7 +19,9 @@
  *      to KeyCorrector::attempt with per-bit flip priors when the
  *      caller supplies them (keyfind/prior derives them from the SRAM
  *      retention model; multi-dump fusion adds disagreement evidence).
- *      With no priors the hits are identical to RobustKeyScanner::scan.
+ *      With no priors the hits are identical to RobustKeyScanner::scan,
+ *      which the tests keep as this stage's reference oracle; nothing
+ *      in production calls it.
  *
  *   3. *Parallel orchestration.* The offset space is split into
  *      fixed-size chunks forming a deterministic task list; workers
@@ -29,7 +31,8 @@
  *      plumbing at all.
  *
  * Campaign trials drive the engine through the KeyRecovery attack mode
- * (src/campaign); benches drive it directly (bench/keyfind_throughput).
+ * (src/campaign); benches drive it directly (bench/keyfind_throughput,
+ * bench/ablation_dram_coldboot).
  */
 
 #ifndef VOLTBOOT_KEYFIND_ENGINE_HH
@@ -86,7 +89,7 @@ struct KeyRecoveryConfig
     /** Key size the correction stage targets (16, 24 or 32). */
     size_t correct_key_bytes = 16;
     /** First-round mismatch fraction above which a window skips the
-     * corrector (RobustKeyScanner's prefilter). */
+     * corrector (KeyCorrector::firstRoundMismatch). */
     double prefilter_threshold = 0.375;
     /** Use per-bit flip priors when the caller provides them. */
     bool use_priors = true;

@@ -10,10 +10,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <map>
 #include <set>
 #include <thread>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "campaign/campaign.hh"
 #include "campaign/campaign_result.hh"
@@ -151,6 +154,53 @@ TEST(SweepGrid, ParseRejectsMalformedSpecs)
         EXPECT_NE(msg.find("'7'"), std::string::npos) << msg;
     }
     EXPECT_THROW(SweepGrid::parse("seeds=2\nboard=pi4\nseeds=3"),
+                 FatalError);
+    // Finite values outside an axis's physical range.
+    for (const auto &[spec, range] :
+         std::vector<std::pair<const char *, const char *>>{
+             {"temp=1e308", "[-200, 150] degC"},
+             {"temp=25,-273.15", "[-200, 150] degC"},
+             {"off-ms=-5", "[0, 86400000] ms"},
+             {"current=-1", "[0, 100] A"},
+             {"impedance-mohm=-50", "[0, 1e+06] mohm"},
+             {"glitch-off-ns=-1", "[0, 1e+09] ns"},
+             {"glitch-width-ns=2e9", "[0, 1e+09] ns"},
+             {"glitch-depth=6", "[0, 5] V"},
+             {"undervolt-depth=-0.1", "[0, 5] V"},
+             {"hold-ns=-200", "[0, 1e+09] ns"},
+             {"readout-rate=1e7", "[0, 1e+06] B/us"},
+             {"cpa-window-ns=-1", "[0, 1e+09] ns"},
+             {"dumps=65", "[1, 64] count"},
+             {"seeds=0", "[1, 1e+09] count"},
+             {"seeds=2000000000", "[1, 1e+09] count"}}) {
+        try {
+            SweepGrid::parse(spec);
+            ADD_FAILURE() << "accepted " << spec;
+        } catch (const FatalError &e) {
+            const std::string msg = e.what();
+            const std::string text(spec);
+            const size_t eq = text.find('=');
+            const std::string key = text.substr(0, eq);
+            // The bad value is the list's last item.
+            std::string value = text.substr(eq + 1);
+            value = value.substr(value.find(',') + 1);
+            EXPECT_NE(msg.find("'" + key + "'"), std::string::npos) << msg;
+            EXPECT_NE(msg.find("'" + value + "'"), std::string::npos)
+                << msg;
+            EXPECT_NE(msg.find(range), std::string::npos) << msg;
+        }
+    }
+    // The range ends themselves are accepted.
+    EXPECT_EQ(SweepGrid::parse("temp=-200,150;off-ms=0,86400000;"
+                               "dumps=1,64")
+                  .size(),
+              8u);
+    // The CLI's attack flags check the same rows.
+    EXPECT_NO_THROW(SweepGrid::checkRange("current", 3.0));
+    EXPECT_THROW(SweepGrid::checkRange("off-ms", -5.0), FatalError);
+    EXPECT_THROW(SweepGrid::checkRange("temp",
+                                       std::numeric_limits<double>::
+                                           quiet_NaN()),
                  FatalError);
 }
 

@@ -17,6 +17,7 @@
 #include "crypto/aes.hh"
 #include "crypto/key_corrector.hh"
 #include "crypto/key_finder.hh"
+#include "keyfind/engine.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "soc/soc.hh"
@@ -525,11 +526,14 @@ dramColdBoot(double celsius, Seconds off_time)
     soc.dramArray().read(0x40000, window);
 
     // Scan with correction: decayed master-key bytes defeat the plain
-    // scanner, so the robust path pre-filters on first-round consistency
-    // and repairs candidates.
-    RobustKeyScanner scanner{KeyCorrector{}};
-    const auto hit = scanner.best(MemoryImage(window), 16);
-    return hit && hit->corrected.key == key;
+    // scanner, so the engine's correction stage pre-filters on
+    // first-round consistency and repairs candidates.
+    keyfind::KeyRecoveryConfig cfg;
+    cfg.use_priors = false;
+    const auto hits = keyfind::KeyRecoveryEngine(cfg)
+                          .recover(MemoryImage(window))
+                          .corrected_hits;
+    return !hits.empty() && hits.front().corrected.key == key;
 }
 
 TEST(DramColdBoot, SucceedsWhenChilled)

@@ -32,6 +32,7 @@
 #include "campaign/campaign.hh"
 #include "campaign/sweep_grid.hh"
 #include "campaign/trial_runner.hh"
+#include "core/analysis.hh"
 #include "power/power_domain.hh"
 #include "report/campaign_json.hh"
 #include "report/heartbeat.hh"
@@ -1432,6 +1433,76 @@ TEST(Cli, RetentionPathAcceptsFastAndReferenceOnly)
     const std::string fast_json = readFile(dir + "/fast.json");
     EXPECT_FALSE(fast_json.empty());
     EXPECT_EQ(readFile(dir + "/reference.json"), fast_json);
+}
+
+TEST(Cli, ColdbootAgreesWithTheOneTrialSweep)
+{
+    // coldboot is the one-trial sweep at the default seed, so it scores
+    // the dump against the staged victim's full L1D image.
+    const std::string dir = tempDir("cli_coldboot");
+    const CliResult cold =
+        runCli("coldboot --board pi4 --temp -110 --off-ms 5", dir);
+    ASSERT_EQ(cold.exit_code, 0) << cold.err;
+    const CliResult sweep = runCli(
+        "sweep --grid \"board=pi4;attack=coldboot;temp=-110;off-ms=5\" "
+        "--jobs 1 --quiet --out " +
+            dir + "/sweep.json",
+        dir);
+    ASSERT_EQ(sweep.exit_code, 0) << sweep.err;
+    const report::SweepDoc doc = report::readSweepFile(dir + "/sweep.json");
+    ASSERT_EQ(doc.records.size(), 1u);
+    const std::string expected =
+        "error vs stored pattern: " +
+        TextTable::pct(doc.records[0].bit_error_rate) + " ";
+    EXPECT_NE(cold.out.find(expected), std::string::npos)
+        << "expected '" << expected << "' in:\n"
+        << cold.out;
+}
+
+TEST(Cli, AttackRunsTheStagedVictim)
+{
+    const std::string dir = tempDir("cli_attack");
+    const CliResult ok = runCli("attack --board pi4 --target dcache", dir);
+    ASSERT_EQ(ok.exit_code, 0) << ok.err;
+    for (const char *step : {"step 1:", "step 2:", "step 3:"})
+        EXPECT_NE(ok.out.find(step), std::string::npos) << ok.out;
+    // The whole 32 KiB L1D holds the staged pattern.
+    EXPECT_NE(ok.out.find("dump: 32768 bytes"), std::string::npos)
+        << ok.out;
+    EXPECT_NE(ok.out.find("00000000  aa aa aa aa"), std::string::npos)
+        << ok.out;
+
+    const CliResult pad = runCli("attack --board pi4 --pad PP58", dir);
+    EXPECT_EQ(pad.exit_code, 1);
+    EXPECT_NE(pad.out.find("attack failed: no such test pad: PP58"),
+              std::string::npos)
+        << pad.out;
+
+    const CliResult target = runCli("attack --target foo", dir);
+    EXPECT_EQ(target.exit_code, 2);
+    EXPECT_EQ(target.out.find("step "), std::string::npos) << target.out;
+    EXPECT_NE(target.err.find("unknown target 'foo'"), std::string::npos)
+        << target.err;
+    EXPECT_NE(target.err.find("usage:"), std::string::npos);
+}
+
+TEST(Cli, AttackFlagsRejectBadNumbersBeforeRunning)
+{
+    const std::string dir = tempDir("cli_attack_flags");
+    for (const char *args :
+         {"coldboot --temp nan", "coldboot --temp inf",
+          "coldboot --off-ms -5", "coldboot --temp 1e308",
+          "attack --current -1", "attack --off-ms 1e12"}) {
+        const CliResult r = runCli(args, dir);
+        EXPECT_EQ(r.exit_code, 2) << args;
+        const std::string cmd(args);
+        const std::string flag = cmd.substr(
+            cmd.find("--"), cmd.rfind(' ') - cmd.find("--"));
+        EXPECT_NE(r.err.find(flag), std::string::npos) << r.err;
+        EXPECT_NE(r.err.find("usage:"), std::string::npos) << r.err;
+        EXPECT_EQ(r.out.find("step "), std::string::npos) << r.out;
+        EXPECT_EQ(r.out.find("cold boot at"), std::string::npos) << r.out;
+    }
 }
 
 #endif // VOLTBOOT_CLI_PATH

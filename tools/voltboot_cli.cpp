@@ -5,7 +5,8 @@
  * Subcommands:
  *   platforms                         list the device database
  *   attack   [options]                run Volt Boot end to end
- *   coldboot [options]                run the cold-boot control
+ *   coldboot [options]                run the cold-boot control (one
+ *                                     sweep trial at the default seed)
  *   survey   [--board NAME]           countermeasure survey
  *   retention [--tech sram|dram]      survival surface
  *   sweep    [options]                parallel attack-sweep campaign
@@ -19,6 +20,8 @@
  *   --temp <celsius>          ambient temperature    (default 25)
  *   --off-ms <ms>             power-off interval     (default 500)
  *   --current <amps>          probe current limit    (default 3.0)
+ *                             (each checked against the physical
+ *                             range of its sweep axis)
  *   --pad <label>             probe somewhere else (wrong-domain demo)
  *   --retention-path fast|reference
  *                             retention kernel (default fast; both are
@@ -61,6 +64,7 @@
 
 #include <atomic>
 #include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -75,6 +79,7 @@
 #include <vector>
 
 #include "campaign/campaign.hh"
+#include "campaign/trial_runner.hh"
 #include "report/campaign_json.hh"
 #include "sidechannel/coupling.hh"
 #include "report/invariants.hh"
@@ -90,9 +95,8 @@
 #include "core/analysis.hh"
 #include "core/attack.hh"
 #include "core/countermeasures.hh"
-#include "os/baremetal.hh"
-#include "os/workloads.hh"
 #include "sim/logging.hh"
+#include "sim/rng.hh"
 #include "soc/soc.hh"
 #include "sram/retention_kernel.hh"
 
@@ -123,8 +127,32 @@ parseDouble(const std::string &flag, const std::string &text)
     double value = 0.0;
     const auto [ptr, ec] =
         std::from_chars(text.data(), text.data() + text.size(), value);
-    if (ec != std::errc() || ptr != text.data() + text.size())
+    if (ec != std::errc() || ptr != text.data() + text.size() ||
+        !std::isfinite(value))
         usageFatal("malformed numeric value '", text, "' for ", flag);
+    return value;
+}
+
+/** Run @p parse, reporting its fatal() as a usage error on @p flag. */
+template <class F>
+auto
+parseFlag(const std::string &flag, F parse)
+{
+    try {
+        return parse();
+    } catch (const FatalError &e) {
+        usageFatal(flag, ": ", e.what());
+    }
+}
+
+/** A numeric flag that sets sweep axis @p axis, checked against that
+ * axis's physical range. */
+double
+parseAxisFlag(const std::string &flag, const std::string &text,
+              const char *axis)
+{
+    const double value = parseDouble(flag, text);
+    parseFlag(flag, [&] { SweepGrid::checkRange(axis, value); });
     return value;
 }
 
@@ -177,23 +205,14 @@ writeOutput(const std::string &path, const std::string &content)
 
 struct Options
 {
-    std::string board = "pi4";
-    std::string target = "dcache";
-    double temp_c = 25.0;
-    double off_ms = 500.0;
-    double current = 3.0;
+    TrialSpec trial;                // board, temp, off-ms and current
+    std::string target = "dcache"; // also retention's sram|dram
     std::string pad; // empty = the platform's documented attack pad
 
     std::string trace;        // JSONL trace output, empty = off
     std::string trace_chrome; // Chrome trace-event output, empty = off
     std::string metrics;      // wall-clock metrics snapshot, empty = off
 };
-
-SocConfig
-configFor(const std::string &board)
-{
-    return socConfigFor(board);
-}
 
 Options
 parse(int argc, char **argv, int first)
@@ -207,15 +226,15 @@ parse(int argc, char **argv, int first)
             return argv[++i];
         };
         if (flag == "--board")
-            o.board = value();
+            o.trial.board = value();
         else if (flag == "--target")
             o.target = value();
         else if (flag == "--temp")
-            o.temp_c = parseDouble(flag, value());
+            o.trial.temp_c = parseAxisFlag(flag, value(), "temp");
         else if (flag == "--off-ms")
-            o.off_ms = parseDouble(flag, value());
+            o.trial.off_ms = parseAxisFlag(flag, value(), "off-ms");
         else if (flag == "--current")
-            o.current = parseDouble(flag, value());
+            o.trial.current_a = parseAxisFlag(flag, value(), "current");
         else if (flag == "--pad")
             o.pad = value();
         else if (flag == "--retention-path")
@@ -286,42 +305,31 @@ cmdPlatforms()
     return 0;
 }
 
-/** Prepare the standard victim for the selected target memory. */
-void
-prepareVictim(Soc &soc, const std::string &target)
+/** The one-trial spec the attack flags describe; --target is parsed
+ * here, before any Soc is built. */
+TrialSpec
+trialSpecFor(const Options &o, AttackKind attack)
 {
-    BareMetalRunner runner(soc);
-    if (target == "regs") {
-        for (size_t core = 0; core < soc.coreCount(); ++core)
-            runner.runOn(core, workloads::vectorFill(0xFF, 0xAA));
-    } else if (target == "iram") {
-        if (!soc.iramArray())
-            fatal("platform has no iRAM; use --board imx53");
-        std::vector<uint8_t> img(soc.config().iram_bytes);
-        for (size_t i = 0; i < img.size(); ++i)
-            img[i] = static_cast<uint8_t>(i * 7 + 3);
-        soc.jtag().writeIram(soc.config().iram_base, img);
-    } else if (target == "icache") {
-        for (size_t core = 0; core < soc.coreCount(); ++core)
-            runner.runOn(core, workloads::nopFiller(2048));
-    } else { // dcache / tlb / btb victims all run the pattern store
-        const uint64_t base = soc.config().dram_base + 0x40000;
-        runner.runOn(0, workloads::patternStore(base, 8192, 0xAA));
-    }
+    TrialSpec spec = o.trial;
+    spec.target =
+        parseFlag("--target", [&] { return targetFromString(o.target); });
+    spec.attack = attack;
+    return spec;
 }
 
 int
 cmdAttack(const Options &o)
 {
-    SocConfig cfg = configFor(o.board);
-    Soc soc(cfg);
-    soc.setAmbient(Temperature::celsius(o.temp_c));
+    const TrialSpec spec = trialSpecFor(o, AttackKind::VoltBoot);
+    Soc soc(socConfigFor(spec.board));
+    soc.setAmbient(Temperature::celsius(spec.temp_c));
     soc.powerOn();
-    prepareVictim(soc, o.target);
+    Rng rng(deriveTrialSeed(CampaignConfig{}.seed, spec.index));
+    stageVictim(soc, spec, rng);
 
     AttackConfig acfg;
-    acfg.probe_max_current = Amp(o.current);
-    acfg.off_time = Seconds::milliseconds(o.off_ms);
+    acfg.probe_max_current = Amp(spec.current_a);
+    acfg.off_time = Seconds::milliseconds(spec.off_ms);
     VoltBootAttack attack(soc, acfg);
 
     AttackOutcome out = o.pad.empty() ? attack.attachProbe()
@@ -335,22 +343,7 @@ cmdAttack(const Options &o)
         return 1;
     }
 
-    MemoryImage dump;
-    if (o.target == "dcache")
-        dump = attack.dumpL1(0, L1Ram::DData);
-    else if (o.target == "icache")
-        dump = attack.dumpL1(0, L1Ram::IData);
-    else if (o.target == "regs")
-        dump = attack.dumpVectorRegisters(0);
-    else if (o.target == "iram")
-        dump = attack.dumpIram();
-    else if (o.target == "tlb")
-        dump = attack.dumpDtlb(0);
-    else if (o.target == "btb")
-        dump = attack.dumpBtb(0);
-    else
-        usageFatal("unknown target '", o.target, "'");
-
+    const MemoryImage dump = dumpTarget(attack, spec.target);
     std::cout << "\ndump: " << dump.sizeBytes()
               << " bytes, ones density "
               << TextTable::num(dump.onesDensity(), 4)
@@ -360,27 +353,21 @@ cmdAttack(const Options &o)
     return 0;
 }
 
+/** The cold-boot control: one campaign trial at the sweep's default
+ * seed, so its error rate is the one-trial sweep record's. */
 int
 cmdColdBoot(const Options &o)
 {
-    SocConfig cfg = configFor(o.board);
-    Soc soc(cfg);
-    soc.powerOn();
-    prepareVictim(soc, "dcache");
-
-    ColdBootAttack attack(soc, Temperature::celsius(o.temp_c),
-                          Seconds::milliseconds(o.off_ms));
-    if (!attack.powerCycleAndBoot()) {
-        std::cout << "boot failed (authenticated boot?)\n";
+    const TrialRecord rec = runTrial(trialSpecFor(o, AttackKind::ColdBoot),
+                                     CampaignConfig{}.seed);
+    if (rec.status != TrialStatus::Ok) {
+        std::cout << rec.detail << "\n";
         return 1;
     }
-    const MemoryImage dump = attack.dumpL1(0, L1Ram::DData);
-    const MemoryImage truth = MemoryImage::filled(dump.sizeBytes(), 0xAA);
-    std::cout << "cold boot at " << o.temp_c << " degC, " << o.off_ms
-              << " ms off\n";
+    std::cout << "cold boot at " << rec.spec.temp_c << " degC, "
+              << rec.spec.off_ms << " ms off\n";
     std::cout << "error vs stored pattern: "
-              << TextTable::pct(
-                     MemoryImage::fractionalHamming(dump, truth))
+              << TextTable::pct(rec.bit_error_rate)
               << " (50% = nothing retained)\n";
     return 0;
 }
@@ -389,7 +376,7 @@ int
 cmdSurvey(const Options &o)
 {
     TextTable t({"defence", "attack", "recovered", "notes"});
-    for (const auto &row : surveyCountermeasures(configFor(o.board)))
+    for (const auto &row : surveyCountermeasures(socConfigFor(o.trial.board)))
         t.addRow({toString(row.defence),
                   row.attack_succeeded ? "SUCCEEDS" : "defeated",
                   TextTable::pct(row.recovered_fraction), row.notes});
@@ -425,7 +412,7 @@ struct SweepOptions
     std::string grid;
     std::string attack; // override / sole attack, empty = per-grid
     unsigned jobs = 0;  // 0 = hardware concurrency
-    uint64_t seed = 0x5eed;
+    uint64_t seed = CampaignConfig{}.seed;
     std::string out_json;
     std::string out_csv;
     bool timing = false;
@@ -874,7 +861,11 @@ usage(std::ostream &out)
            "           [--trace FILE.jsonl] [--trace-chrome FILE.json] "
            "[--metrics FILE]\n"
            "           [--retention-path fast|reference]\n"
-           "  coldboot --board ... --temp C --off-ms MS [--trace ...]\n"
+           "  coldboot --board ... [--target dcache|icache] --temp C "
+           "--off-ms MS\n"
+           "           [--trace ...] [--retention-path ...]\n"
+           "           (one sweep trial at the default --seed; prints its "
+           "bit_error_rate)\n"
            "  survey   [--board ...]\n"
            "  retention [--target sram|dram]\n"
            "  sweep    --grid SPEC|FILE [--attack NAME] [--jobs N] "
