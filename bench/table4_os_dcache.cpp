@@ -46,9 +46,7 @@ main()
         for (int trial = 0; trial < trials; ++trial) {
             Soc soc(SocConfig::bcm2711());
             soc.powerOn();
-            LinuxModelConfig lm_cfg;
-            lm_cfg.seed = 0x700 + kb * 10 + trial;
-            LinuxModel linux_model(soc, lm_cfg);
+            LinuxModel linux_model(soc, 0x700 + kb * 10 + trial);
             linux_model.boot();
             const auto truth =
                 linux_model.runArrayBenchmark(kb * 1024);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <optional>
 #include <thread>
@@ -14,21 +13,6 @@
 
 namespace voltboot
 {
-
-namespace
-{
-
-/** `<trace_dir>/trial_NNNNNN.jsonl` for trial @p index. */
-std::string
-tracePath(const std::string &dir, uint64_t index)
-{
-    char name[32];
-    std::snprintf(name, sizeof(name), "trial_%06llu.jsonl",
-                  static_cast<unsigned long long>(index));
-    return (std::filesystem::path(dir) / name).string();
-}
-
-} // namespace
 
 Campaign::Campaign(SweepGrid grid, CampaignConfig config)
     : grid_(std::move(grid)), config_(std::move(config))
@@ -142,7 +126,7 @@ Campaign::run()
                     rec.duration_s = elapsedSince(start);
                     if (tracing)
                         CampaignResult::writeFile(
-                            tracePath(config_.trace_dir, i),
+                            trialTracePath(config_.trace_dir, i),
                             trace::toJsonl(sink.events()));
                     telemetry::add(telemetry::Counter::TrialsCompleted);
                     if (rec.status == TrialStatus::Ok)

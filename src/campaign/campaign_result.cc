@@ -1,6 +1,7 @@
 #include "campaign/campaign_result.hh"
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <string_view>
 #include <type_traits>
@@ -108,6 +109,17 @@ splitCsvRow(const std::string &line)
     }
     fields.push_back(std::move(cur));
     return fields;
+}
+
+std::string
+trialTracePath(const std::string &trace_dir, uint64_t index)
+{
+    std::string digits = std::to_string(index);
+    if (digits.size() < 6)
+        digits.insert(0, 6 - digits.size(), '0');
+    return (std::filesystem::path(trace_dir) /
+            ("trial_" + digits + ".jsonl"))
+        .string();
 }
 
 namespace

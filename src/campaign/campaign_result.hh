@@ -56,6 +56,10 @@ std::string csvEscape(const std::string &field);
  * fields — the inverse of the quoting csvEscape() applies. */
 std::vector<std::string> splitCsvRow(const std::string &line);
 
+/** `<trace_dir>/trial_NNNNNN.jsonl`, the per-trial trace of trial
+ * @p index: at least six digits, zero-padded, never truncated. */
+std::string trialTracePath(const std::string &trace_dir, uint64_t index);
+
 /** Outcome and metrics of a single trial. */
 struct TrialRecord
 {

@@ -47,6 +47,37 @@ deriveTrialSeed(uint64_t campaign_seed, uint64_t trial_index)
     return hashCombine(campaign_seed, trial_index);
 }
 
+TrialBench::TrialBench(const TrialSpec &spec, uint64_t campaign_seed)
+    : soc([&] {
+          SocConfig cfg = socConfigFor(spec.board);
+          cfg.chip_seed = deriveChipSeed(campaign_seed, spec.seed_index);
+          return cfg;
+      }()),
+      attack{Amp(spec.current_a), Ohm::milliohms(spec.impedance_mohm),
+             Seconds::milliseconds(spec.off_ms)}
+{
+    soc.setAmbient(Temperature::celsius(spec.temp_c));
+    soc.powerOn();
+}
+
+namespace
+{
+
+/** CaSE-style victim: lock @p key's AES-128 schedule into core 0's L1D
+ * and return the L1D image. */
+MemoryImage
+stageCaseKey(Soc &soc, const std::vector<uint8_t> &key)
+{
+    Cache &l1d = soc.memory().l1d(0);
+    l1d.invalidateAll();
+    l1d.setEnabled(true);
+    const std::vector<uint8_t> binary(256, 0x90);
+    CaseExecution cas(l1d, soc.config().dram_base + 0x40000, binary, key);
+    return l1d.dumpAll();
+}
+
+} // namespace
+
 Victim
 stageVictim(Soc &soc, const TrialSpec &spec, Rng &rng)
 {
@@ -55,17 +86,10 @@ stageVictim(Soc &soc, const TrialSpec &spec, Rng &rng)
     switch (spec.target) {
       case TargetRam::DCache:
         if (spec.plant_key) {
-            // CaSE-style victim: an AES-128 schedule locked into L1D.
-            Cache &l1d = soc.memory().l1d(0);
-            l1d.invalidateAll();
-            l1d.setEnabled(true);
             v.planted_key.resize(16);
             for (auto &b : v.planted_key)
                 b = static_cast<uint8_t>(rng.next());
-            const std::vector<uint8_t> binary(256, 0x90);
-            CaseExecution cas(l1d, soc.config().dram_base + 0x40000,
-                              binary, v.planted_key);
-            v.truth = l1d.dumpAll();
+            v.truth = stageCaseKey(soc, v.planted_key);
         } else {
             // Fill the whole data RAM so every bit of the dump scores
             // against victim data (untouched lines would trivially
@@ -218,11 +242,8 @@ runTrial(const TrialSpec &spec, uint64_t campaign_seed)
         return rec;
     }
 
-    SocConfig cfg = socConfigFor(spec.board);
-    cfg.chip_seed = rec.chip_seed;
-    Soc soc(cfg);
-    soc.setAmbient(Temperature::celsius(spec.temp_c));
-    soc.powerOn();
+    TrialBench bench(spec, campaign_seed);
+    Soc &soc = bench.soc;
 
     if (spec.attack == AttackKind::Glitch) {
         // No probe, no power cycle: GlitchAttack stages its own
@@ -264,21 +285,12 @@ runTrial(const TrialSpec &spec, uint64_t campaign_seed)
         std::vector<uint8_t> key(16);
         for (auto &b : key)
             b = static_cast<uint8_t>(rng.next());
-        const std::vector<uint8_t> binary(256, 0x90);
-        const auto stage = [&] {
-            Cache &l1d = soc.memory().l1d(0);
-            l1d.invalidateAll();
-            l1d.setEnabled(true);
-            CaseExecution cas(l1d, soc.config().dram_base + 0x40000,
-                              binary, key);
-            return l1d.dumpAll();
-        };
-        const MemoryImage truth = stage();
+        const MemoryImage truth = stageCaseKey(soc, key);
         std::vector<MemoryImage> dumps;
         dumps.reserve(spec.dump_count);
         for (uint64_t d = 0; d < spec.dump_count; ++d) {
             if (d > 0)
-                stage();
+                stageCaseKey(soc, key);
             ColdBootAttack attack(soc,
                                   Temperature::celsius(spec.temp_c),
                                   Seconds::milliseconds(spec.off_ms));
@@ -355,9 +367,6 @@ runTrial(const TrialSpec &spec, uint64_t campaign_seed)
         secfg.depth = Volt(spec.undervolt_depth_v);
         secfg.hold = Seconds::nanoseconds(spec.hold_ns);
         secfg.readout_rate = spec.readout_rate;
-        secfg.seed = hashCombine(deriveTrialSeed(campaign_seed,
-                                                 spec.index),
-                                 0x5eecULL);
         sidechannel::StaticExtractAttack attack(soc, secfg);
         const sidechannel::StaticExtractOutcome out = attack.execute();
         rec.se_frozen = out.frozen;
@@ -368,11 +377,7 @@ runTrial(const TrialSpec &spec, uint64_t campaign_seed)
     }
 
     if (spec.attack == AttackKind::VoltBoot) {
-        AttackConfig acfg;
-        acfg.probe_max_current = Amp(spec.current_a);
-        acfg.probe_impedance = Ohm::milliohms(spec.impedance_mohm);
-        acfg.off_time = Seconds::milliseconds(spec.off_ms);
-        VoltBootAttack attack(soc, acfg);
+        VoltBootAttack attack(soc, bench.attack);
         const AttackOutcome out = attack.execute();
         rec.probe_attached = out.probe_attached;
         rec.booted = out.rebooted_into_attacker_code;

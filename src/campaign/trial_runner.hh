@@ -26,6 +26,8 @@
 
 #include "campaign/campaign_result.hh"
 #include "campaign/sweep_grid.hh"
+#include "core/attack.hh"
+#include "soc/soc.hh"
 #include "soc/soc_config.hh"
 #include "sram/memory_image.hh"
 
@@ -33,8 +35,6 @@ namespace voltboot
 {
 
 class Rng;
-class Soc;
-class VoltBootAttack;
 
 /** Board name to platform config ("pi3"|"pi4"|"imx53"); fatal() else. */
 SocConfig socConfigFor(const std::string &board);
@@ -44,6 +44,20 @@ uint64_t deriveChipSeed(uint64_t campaign_seed, uint64_t seed_index);
 
 /** The per-trial random stream seed. */
 uint64_t deriveTrialSeed(uint64_t campaign_seed, uint64_t trial_index);
+
+/**
+ * The bench of one trial: the spec's board built on the die of its
+ * chip-seed index, set to its ambient and powered on, plus the Volt
+ * Boot probe settings its axes name. runTrial and the CLI's `attack`
+ * both start here.
+ */
+struct TrialBench
+{
+    TrialBench(const TrialSpec &spec, uint64_t campaign_seed);
+
+    Soc soc;
+    AttackConfig attack;
+};
 
 /** Victim staging result: what the attacker should recover. */
 struct Victim

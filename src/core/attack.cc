@@ -18,33 +18,34 @@ namespace voltboot
 namespace
 {
 
+/** DRAM offset the extraction programs dump into. */
+constexpr uint64_t kDumpBaseOffset = 0x80000;
+/** DRAM offset the extraction programs (and the boot stub) load at. */
+constexpr uint64_t kExtractorOffset = 0x1000;
+
+/** One L1 RAM's RAMINDEX descriptor id and geometry. */
+struct RamInfo
+{
+    unsigned id;
+    CacheGeometry geom;
+    bool is_tag;
+};
+
 /** Map an L1Ram selector onto (descriptor ram id, geometry). */
-void
-ramInfo(const Soc &soc, L1Ram ram, unsigned *ram_id, CacheGeometry *geom,
-        bool *is_tag)
+RamInfo
+ramInfo(const Soc &soc, L1Ram ram)
 {
     switch (ram) {
       case L1Ram::DData:
-        *ram_id = RamIndexDescriptor::kL1DData;
-        *geom = soc.config().l1d;
-        *is_tag = false;
-        break;
+        return {RamIndexDescriptor::kL1DData, soc.config().l1d, false};
       case L1Ram::DTag:
-        *ram_id = RamIndexDescriptor::kL1DTag;
-        *geom = soc.config().l1d;
-        *is_tag = true;
-        break;
+        return {RamIndexDescriptor::kL1DTag, soc.config().l1d, true};
       case L1Ram::IData:
-        *ram_id = RamIndexDescriptor::kL1IData;
-        *geom = soc.config().l1i;
-        *is_tag = false;
-        break;
+        return {RamIndexDescriptor::kL1IData, soc.config().l1i, false};
       case L1Ram::ITag:
-        *ram_id = RamIndexDescriptor::kL1ITag;
-        *geom = soc.config().l1i;
-        *is_tag = true;
-        break;
+        return {RamIndexDescriptor::kL1ITag, soc.config().l1i, true};
     }
+    panic("bad L1Ram");
 }
 
 /** One-way RAMINDEX dump program source. */
@@ -139,13 +140,10 @@ Program
 buildWayExtractor(const Soc &soc, L1Ram ram, size_t way,
                   uint64_t load_address, uint64_t dump_base)
 {
-    unsigned ram_id;
-    CacheGeometry geom;
-    bool is_tag;
-    ramInfo(soc, ram, &ram_id, &geom, &is_tag);
-    const size_t words = is_tag ? 1 : geom.line_bytes / 8;
-    Program p = Assembler::assemble(
-        wayExtractorSource(ram_id, way, geom.sets(), words, dump_base));
+    const RamInfo info = ramInfo(soc, ram);
+    const size_t words = info.is_tag ? 1 : info.geom.line_bytes / 8;
+    Program p = Assembler::assemble(wayExtractorSource(
+        info.id, way, info.geom.sets(), words, dump_base));
     p.load_address = load_address;
     return p;
 }
@@ -230,34 +228,36 @@ VoltBootAttack::powerCycleAndBoot()
     note("step 3: board repowered after " +
          TextTable::num(config_.off_time.milliseconds(), 1) + " ms");
 
-    // Step 3b: get our code running. ROM-boot platforms with JTAG need
-    // no media at all; otherwise boot attacker media (USB MSD).
-    if (soc_.config().jtag_enabled) {
-        booted_ = true;
-        out.rebooted_into_attacker_code = true;
-        note("step 3: internal ROM boot; JTAG session opened");
-        step.arg({"booted", true});
-        step.arg({"path", "jtag"});
-        return out;
-    }
-
-    // A trivial placeholder image: the real extraction programs are
-    // loaded per dump request. Booting proves the signature gate.
-    Program stub = Assembler::assemble("    hlt\n");
-    stub.load_address = soc_.config().dram_base + config_.extractor_offset;
-    if (!soc_.bootFromExternalMedia(stub)) {
+    if (!bootAttackerCode()) {
         out.failure_reason =
             "authenticated boot rejected the attacker image";
         note("step 3: FAILED - " + out.failure_reason);
         step.arg({"booted", false});
         return out;
     }
-    booted_ = true;
+    const bool jtag = soc_.config().jtag_enabled;
     out.rebooted_into_attacker_code = true;
-    note("step 3: booted attacker image from USB mass storage");
+    note(jtag ? "step 3: internal ROM boot; JTAG session opened"
+              : "step 3: booted attacker image from USB mass storage");
     step.arg({"booted", true});
-    step.arg({"path", "usb"});
+    step.arg({"path", jtag ? "jtag" : "usb"});
     return out;
+}
+
+bool
+VoltBootAttack::bootAttackerCode()
+{
+    // ROM-boot platforms with JTAG need no media at all.
+    if (!soc_.config().jtag_enabled) {
+        // A trivial placeholder image: the real extraction programs are
+        // loaded per dump request. Booting proves the signature gate.
+        Program stub = Assembler::assemble("    hlt\n");
+        stub.load_address = soc_.config().dram_base + kExtractorOffset;
+        if (!soc_.bootFromExternalMedia(stub))
+            return false;
+    }
+    booted_ = true;
+    return true;
 }
 
 AttackOutcome
@@ -273,7 +273,7 @@ MemoryImage
 VoltBootAttack::readDumpFromDram(size_t core, size_t bytes)
 {
     std::vector<uint8_t> out(bytes);
-    const uint64_t base = soc_.config().dram_base + config_.dump_base_offset;
+    const uint64_t base = soc_.config().dram_base + kDumpBaseOffset;
     CorePort &port = soc_.port(core);
     for (size_t i = 0; i < bytes; i += 8) {
         const uint64_t v = port.read64(base + i);
@@ -289,19 +289,14 @@ VoltBootAttack::dumpL1Way(size_t core, L1Ram ram, size_t way)
     if (!booted_)
         fatal("VoltBootAttack: execute() the power cycle before dumping");
     StepScope step(soc_, telemetry::Counter::StepExtractNs);
-    unsigned ram_id;
-    CacheGeometry geom;
-    bool is_tag;
-    ramInfo(soc_, ram, &ram_id, &geom, &is_tag);
+    const RamInfo info = ramInfo(soc_, ram);
     step.arg({"what", "l1_way"});
     step.arg({"core", static_cast<uint64_t>(core)});
-    step.arg({"ram_id", static_cast<uint64_t>(ram_id)});
+    step.arg({"ram_id", static_cast<uint64_t>(info.id)});
     step.arg({"way", static_cast<uint64_t>(way)});
 
-    const uint64_t load =
-        soc_.config().dram_base + config_.extractor_offset;
-    const uint64_t dump =
-        soc_.config().dram_base + config_.dump_base_offset;
+    const uint64_t load = soc_.config().dram_base + kExtractorOffset;
+    const uint64_t dump = soc_.config().dram_base + kDumpBaseOffset;
     const Program extractor = buildWayExtractor(soc_, ram, way, load, dump);
     soc_.loadProgram(extractor);
     soc_.runCore(core, load, 50'000'000);
@@ -310,9 +305,10 @@ VoltBootAttack::dumpL1Way(size_t core, L1Ram ram, size_t way)
               toString(soc_.cpu(core).fault()));
 
     const size_t bytes_per_way =
-        is_tag ? geom.sets() * 8 : geom.sets() * geom.line_bytes;
+        info.is_tag ? info.geom.sets() * 8
+                    : info.geom.sets() * info.geom.line_bytes;
     note("step 4: dumped core " + std::to_string(core) + " RAM " +
-         std::to_string(ram_id) + " way " + std::to_string(way) + " (" +
+         std::to_string(info.id) + " way " + std::to_string(way) + " (" +
          std::to_string(bytes_per_way) + " bytes)");
     step.arg({"bytes", static_cast<uint64_t>(bytes_per_way)});
     return readDumpFromDram(core, bytes_per_way);
@@ -321,12 +317,9 @@ VoltBootAttack::dumpL1Way(size_t core, L1Ram ram, size_t way)
 MemoryImage
 VoltBootAttack::dumpL1(size_t core, L1Ram ram)
 {
-    unsigned ram_id;
-    CacheGeometry geom;
-    bool is_tag;
-    ramInfo(soc_, ram, &ram_id, &geom, &is_tag);
+    const size_t ways = ramInfo(soc_, ram).geom.ways;
     std::vector<uint8_t> all;
-    for (size_t way = 0; way < geom.ways; ++way) {
+    for (size_t way = 0; way < ways; ++way) {
         MemoryImage img = dumpL1Way(core, ram, way);
         all.insert(all.end(), img.bytes().begin(), img.bytes().end());
     }
@@ -342,10 +335,8 @@ VoltBootAttack::dumpVectorRegisters(size_t core)
     step.arg({"what", "vector_registers"});
     step.arg({"core", static_cast<uint64_t>(core)});
     step.arg({"bytes", static_cast<uint64_t>(32 * 16)});
-    const uint64_t load =
-        soc_.config().dram_base + config_.extractor_offset;
-    const uint64_t dump =
-        soc_.config().dram_base + config_.dump_base_offset;
+    const uint64_t load = soc_.config().dram_base + kExtractorOffset;
+    const uint64_t dump = soc_.config().dram_base + kDumpBaseOffset;
     Program p = Assembler::assemble(vectorExtractorSource(dump));
     p.load_address = load;
     soc_.loadProgram(p);
@@ -363,10 +354,8 @@ VoltBootAttack::dumpDtlb(size_t core)
     StepScope step(soc_, telemetry::Counter::StepExtractNs);
     step.arg({"what", "dtlb"});
     step.arg({"core", static_cast<uint64_t>(core)});
-    const uint64_t load =
-        soc_.config().dram_base + config_.extractor_offset;
-    const uint64_t dump =
-        soc_.config().dram_base + config_.dump_base_offset;
+    const uint64_t load = soc_.config().dram_base + kExtractorOffset;
+    const uint64_t dump = soc_.config().dram_base + kDumpBaseOffset;
     const Tlb &tlb = soc_.dtlb(core);
     std::vector<uint8_t> all;
     for (size_t way = 0; way < tlb.ways(); ++way) {
@@ -392,10 +381,8 @@ VoltBootAttack::dumpBtb(size_t core)
     StepScope step(soc_, telemetry::Counter::StepExtractNs);
     step.arg({"what", "btb"});
     step.arg({"core", static_cast<uint64_t>(core)});
-    const uint64_t load =
-        soc_.config().dram_base + config_.extractor_offset;
-    const uint64_t dump =
-        soc_.config().dram_base + config_.dump_base_offset;
+    const uint64_t load = soc_.config().dram_base + kExtractorOffset;
+    const uint64_t dump = soc_.config().dram_base + kDumpBaseOffset;
     const Btb &btb = soc_.btb(core);
     Program p = Assembler::assemble(unrolledExtractorSource(
         RamIndexDescriptor::kBtb, btb.entryCount(), 2, dump));
@@ -442,18 +429,7 @@ ColdBootAttack::powerCycleAndBoot()
     soc_.powerOff();
     soc_.advanceTime(off_time_);
     soc_.powerOn();
-
-    if (soc_.config().jtag_enabled) {
-        extractor_.assumeBooted();
-        return true;
-    }
-    Program stub = Assembler::assemble("    hlt\n");
-    stub.load_address =
-        soc_.config().dram_base + extractor_.config().extractor_offset;
-    if (!soc_.bootFromExternalMedia(stub))
-        return false;
-    extractor_.assumeBooted();
-    return true;
+    return extractor_.bootAttackerCode();
 }
 
 MemoryImage
@@ -541,6 +517,24 @@ emitPulseTrace(const fault::GlitchWaveform &wave,
 
 } // namespace
 
+namespace
+{
+
+/** Core clock period: one instruction boundary per cycle. */
+constexpr Seconds kGlitchCycle = Seconds::nanoseconds(1.0);
+/** Crowbar MOSFET on-impedance (sets the pulse edge slew). */
+constexpr Ohm kCrowbarImpedance = Ohm::milliohms(20.0);
+/** Step budget for the victim run (hang cutoff). */
+constexpr uint64_t kGlitchMaxSteps = 100000;
+
+/** Victim layout, as DRAM-base offsets. */
+constexpr uint64_t kVictimLoadOffset = 0x1000; ///< Signature-check program.
+constexpr uint64_t kFirmwareOffset = 0x8000;   ///< The image being verified.
+constexpr uint64_t kResultOffset = 0x400;      ///< The verdict word.
+constexpr size_t kFirmwareWords = 16;          ///< Firmware length in words.
+
+} // namespace
+
 GlitchAttack::GlitchAttack(Soc &soc, GlitchConfig config)
     : soc_(soc), config_(config)
 {
@@ -558,13 +552,13 @@ GlitchAttack::execute()
     scope.arg({"depth_v", config_.pulse.depth.volts()});
 
     const uint64_t dram = soc_.config().dram_base;
-    const uint64_t load = dram + config_.load_offset;
-    const uint64_t fw_base = dram + config_.firmware_offset;
-    const uint64_t result_addr = dram + config_.result_offset;
+    const uint64_t load = dram + kVictimLoadOffset;
+    const uint64_t fw_base = dram + kFirmwareOffset;
+    const uint64_t result_addr = dram + kResultOffset;
 
     // Stage the attacker's (tampered) firmware: arbitrary bytes whose
     // MAC can never match the tag the vendor signed.
-    std::vector<uint64_t> fw(config_.fw_words);
+    std::vector<uint64_t> fw(kFirmwareWords);
     std::vector<uint8_t> fw_bytes(fw.size() * 8);
     for (size_t i = 0; i < fw.size(); ++i) {
         fw[i] = hashCombine(0xf1a5ULL, i);
@@ -574,7 +568,7 @@ GlitchAttack::execute()
     soc_.loadBytes(fw_base, fw_bytes);
     const uint64_t signed_tag = workloads::signatureCheckTag(fw) ^ 1;
 
-    victim_source_ = workloads::signatureCheck(fw_base, config_.fw_words,
+    victim_source_ = workloads::signatureCheck(fw_base, kFirmwareWords,
                                                signed_tag, result_addr);
     Program victim = Assembler::assemble(victim_source_);
     victim.load_address = load;
@@ -584,17 +578,14 @@ GlitchAttack::execute()
 
     const DomainSpec &domain = soc_.config().core_domain;
     const fault::GlitchWaveform wave(domain.nominal, config_.pulse,
-                                     config_.crowbar_impedance,
-                                     domain.decap);
+                                     kCrowbarImpedance, domain.decap);
     const bool live = !config_.pulse.degenerate();
 
     std::optional<fault::TimingFaultModel> model;
     if (live) {
         fault::TimingFaultConfig fcfg;
-        fcfg.margin_fraction = config_.margin_fraction;
-        fcfg.crash_fraction = config_.crash_fraction;
         fcfg.seed = config_.seed;
-        model.emplace(fcfg, wave, config_.cycle);
+        model.emplace(fcfg, wave, kGlitchCycle);
     }
 
     Cpu &cpu = soc_.cpu(0);
@@ -602,19 +593,19 @@ GlitchAttack::execute()
     cpu.reset(load);
 
     const Seconds anchor = soc_.eventQueue().now();
-    const double cyc = config_.cycle.seconds();
+    const double cyc = kGlitchCycle.seconds();
     const double pulse_end = wave.end().seconds();
 
     GlitchOutcome out;
     bool wild = false;
     bool pulse_traced = false;
     uint64_t steps = 0;
-    while (steps < config_.max_steps) {
+    while (steps < kGlitchMaxSteps) {
         // The boundary about to execute sits at anchor + steps*cycle;
         // once the clock passes the pulse, its trace can be emitted
         // (all batch timestamps are then in the past).
         if (live && !pulse_traced && steps * cyc >= pulse_end) {
-            emitPulseTrace(wave, domain.name, anchor, config_.cycle);
+            emitPulseTrace(wave, domain.name, anchor, kGlitchCycle);
             pulse_traced = true;
         }
         bool more;
@@ -632,7 +623,7 @@ GlitchAttack::execute()
             more = cpu.step();
         }
         ++steps;
-        soc_.advanceTime(config_.cycle);
+        soc_.advanceTime(kGlitchCycle);
         if (!more)
             break;
     }
@@ -646,7 +637,7 @@ GlitchAttack::execute()
             anchor.seconds() + pulse_end + cyc - now.seconds();
         if (past_end > 0.0)
             soc_.advanceTime(Seconds(past_end));
-        emitPulseTrace(wave, domain.name, anchor, config_.cycle);
+        emitPulseTrace(wave, domain.name, anchor, kGlitchCycle);
     }
 
     out.steps = steps;

@@ -56,10 +56,6 @@ struct AttackConfig
     Ohm probe_impedance{0.05};
     /** How long the board stays disconnected from main power. */
     Seconds off_time = Seconds::milliseconds(500);
-    /** DRAM address the extraction program dumps into. */
-    uint64_t dump_base_offset = 0x80000;
-    /** Extraction program load address (DRAM offset). */
-    uint64_t extractor_offset = 0x1000;
 };
 
 /** Which L1 RAM to extract. */
@@ -122,10 +118,12 @@ class VoltBootAttack
     /** Human-readable narration of the steps taken (Figure 5 bench). */
     const std::vector<std::string> &trace() const { return trace_; }
 
-    /** Mark the system as already rebooted into attacker-controlled
-     * execution; for reuse of the extraction machinery when the power
-     * cycle happened outside this object (e.g. the cold boot control). */
-    void assumeBooted() { booted_ = true; }
+    /** Step 3b on a freshly repowered board: open a JTAG session on
+     * ROM-boot platforms, otherwise boot attacker media (USB MSD).
+     * Returns false if authenticated boot rejects the image. Shared
+     * with the cold boot control, whose power cycle runs outside this
+     * object. */
+    bool bootAttackerCode();
 
     const AttackConfig &config() const { return config_; }
 
@@ -170,33 +168,19 @@ Program buildWayExtractor(const Soc &soc, L1Ram ram, size_t way,
                           uint64_t load_address, uint64_t dump_base);
 
 /**
- * Glitcher bench settings: the crowbar pulse plus the fault-model
- * calibration and the victim layout. A default-constructed config has
- * a degenerate (absent) pulse: running it is byte-identical to running
+ * Glitcher bench settings: the crowbar pulse and the fault-stream
+ * seed. The core clock, crowbar impedance, step budget and victim
+ * layout are fixed (constants in attack.cc), as is the fault model's
+ * calibration (fault_model.cc). A default-constructed config has a
+ * degenerate (absent) pulse: running it is byte-identical to running
  * the victim with no glitch hardware attached at all.
  */
 struct GlitchConfig
 {
     /** The pulse: offset/width in victim sim time, depth in volts. */
     fault::GlitchParams pulse;
-    /** Core clock period: one instruction boundary per cycle. */
-    Seconds cycle = Seconds::nanoseconds(1.0);
-    /** Crowbar MOSFET on-impedance (sets the pulse edge slew). */
-    Ohm crowbar_impedance = Ohm::milliohms(20.0);
-    /** Timing margin: boundaries can fault below this × nominal. */
-    double margin_fraction = 0.9;
-    /** Crash point: every boundary faults at this × nominal. */
-    double crash_fraction = 0.5;
     /** Fault-stream seed (counter-hashed; no shared RNG state). */
     uint64_t seed = 1;
-    /** Step budget for the victim run (hang cutoff). */
-    uint64_t max_steps = 100000;
-
-    /** Victim layout, as DRAM-base offsets. */
-    uint64_t load_offset = 0x1000;     ///< Signature-check program.
-    uint64_t firmware_offset = 0x8000; ///< The image being verified.
-    uint64_t result_offset = 0x400;    ///< The verdict word.
-    size_t fw_words = 16;              ///< Firmware length in words.
 };
 
 /** Outcome of one glitched signature-check run. */
@@ -207,7 +191,7 @@ struct GlitchOutcome
     bool bypassed = false;
     /** The victim halted cleanly (pass or fail verdict recorded). */
     bool completed = false;
-    /** The core faulted, ran wild, or hung past max_steps. */
+    /** The core faulted, ran wild, or hung past the step budget. */
     bool crashed = false;
     std::string crash_reason; ///< Fault name / "wild_execution" / "hang".
     uint64_t steps = 0;

@@ -7,6 +7,7 @@
 #include <numeric>
 
 #include "crypto/aes.hh"
+#include "crypto/key_finder.hh"
 #include "sim/logging.hh"
 
 namespace voltboot
@@ -133,7 +134,7 @@ KeyCorrector::attempt(std::span<const uint8_t> window, size_t key_bytes,
     // before any schedule search starts. One distance eval for the
     // report, then out.
     if (linearResidualFraction(window, key_bytes) >
-        config_.give_up_residual) {
+        kGiveUpResidual) {
         out.gave_up = GiveUpReason::ErrorFloor;
         out.residual_bit_errors = scheduleDistance(key, window);
         out.distance_evals = 1;
@@ -220,7 +221,7 @@ KeyCorrector::attempt(std::span<const uint8_t> window, size_t key_bytes,
             config_.accept_threshold)
             break;
         if (static_cast<double>(best) / schedule_bits >
-            config_.lookahead_threshold) {
+            kLookaheadThreshold) {
             stalled = GiveUpReason::ErrorFloor;
             break;
         }
@@ -286,7 +287,7 @@ RobustKeyScanner::scan(const MemoryImage &image, size_t key_bytes) const
     if (bytes.size() < schedule_bytes)
         return hits;
     for (size_t off = 0; off + schedule_bytes <= bytes.size();
-         off += stride_) {
+         off += kKeyScanStride) {
         std::span<const uint8_t> window(bytes.data() + off,
                                         schedule_bytes);
         // Constant windows are never schedules (Rcon forbids them).
@@ -296,7 +297,7 @@ RobustKeyScanner::scan(const MemoryImage &image, size_t key_bytes) const
         if (all_same)
             continue;
         if (KeyCorrector::firstRoundMismatch(window, key_bytes) >
-            prefilter_)
+            kPrefilterThreshold)
             continue;
         if (auto fixed = corrector_.correct(window, key_bytes))
             hits.push_back(RobustScanHit{off, std::move(*fixed)});

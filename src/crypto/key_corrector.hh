@@ -22,7 +22,7 @@
  * the schedule satisfies XOR-only word relations (w[i] = w[i-Nk] ^
  * w[i-1] whenever no S-box is applied), so the fraction of violated
  * relation bits estimates the channel noise without knowing the key. A
- * window whose residual fraction exceeds give_up_residual is abandoned
+ * window whose residual fraction exceeds kGiveUpResidual is abandoned
  * deterministically with a structured gave-up reason instead of
  * burning max_iterations of schedule expansions on garbage.
  *
@@ -95,6 +95,26 @@ struct CorrectionAttempt
     size_t residual_bit_errors = 0;
 };
 
+/**
+ * Bail out *before* searching when the key-independent linear residual
+ * fraction (see linearResidualFraction) exceeds this. A true schedule
+ * at bit-error rate p violates ~3p of its relation bits, so 0.30
+ * corresponds to p ~ 0.10 — already beyond what the local search can
+ * repair — while the ~50% SRAM cold-boot regime sits at ~0.5 and is
+ * rejected deterministically in one pass.
+ */
+inline constexpr double kGiveUpResidual = 0.30;
+/**
+ * Pairwise (two-bit) lookahead is only attempted while the best
+ * distance fraction is at or below this; stalling above it ends the
+ * attempt with GiveUpReason::ErrorFloor instead of an O(bits^2) sweep
+ * over a window that is already hopeless.
+ */
+inline constexpr double kLookaheadThreshold = 0.35;
+/** First-round mismatch fraction (KeyCorrector::firstRoundMismatch)
+ * above which a correction scan skips a window as random data. */
+inline constexpr double kPrefilterThreshold = 0.375;
+
 /** Tunables for the local search. */
 struct KeyCorrectorConfig
 {
@@ -103,22 +123,6 @@ struct KeyCorrectorConfig
     double accept_threshold = 0.05;
     /** Hard cap on local-search iterations. */
     size_t max_iterations = 512;
-    /**
-     * Bail out *before* searching when the key-independent linear
-     * residual fraction (see linearResidualFraction) exceeds this. A
-     * true schedule at bit-error rate p violates ~3p of its relation
-     * bits, so 0.30 corresponds to p ~ 0.10 — already beyond what the
-     * local search can repair — while the ~50% SRAM cold-boot regime
-     * sits at ~0.5 and is rejected deterministically in one pass.
-     */
-    double give_up_residual = 0.30;
-    /**
-     * Pairwise (two-bit) lookahead is only attempted while the best
-     * distance fraction is at or below this; stalling above it ends
-     * the attempt with GiveUpReason::ErrorFloor instead of an O(bits^2)
-     * sweep over a window that is already hopeless.
-     */
-    double lookahead_threshold = 0.35;
 };
 
 /**
@@ -184,10 +188,11 @@ struct RobustScanHit
 };
 
 /**
- * Slide over a memory image looking for *decayed* key schedules: windows
- * are pre-filtered by their first-round consistency (cheap; one key-bit
- * error perturbs only a few first-round bits, while random data
- * disagrees on ~50%), then handed to the KeyCorrector.
+ * Slide over a memory image (at kKeyScanStride) looking for *decayed*
+ * key schedules: windows are pre-filtered by their first-round
+ * consistency against kPrefilterThreshold (cheap; one key-bit error
+ * perturbs only a few first-round bits, while random data disagrees on
+ * ~50%), then handed to the KeyCorrector.
  *
  * This is the tests' reference oracle for the correction stage of
  * keyfind::KeyRecoveryEngine, which is the production path: with priors
@@ -196,10 +201,8 @@ struct RobustScanHit
 class RobustKeyScanner
 {
   public:
-    RobustKeyScanner(KeyCorrector corrector, size_t stride = 4,
-                     double prefilter_threshold = 0.375)
-        : corrector_(corrector), stride_(stride),
-          prefilter_(prefilter_threshold)
+    explicit RobustKeyScanner(KeyCorrector corrector)
+        : corrector_(corrector)
     {}
 
     /** All correctable schedules in @p image, best first. */
@@ -208,8 +211,6 @@ class RobustKeyScanner
 
   private:
     KeyCorrector corrector_;
-    size_t stride_;
-    double prefilter_;
 };
 
 } // namespace voltboot

@@ -43,7 +43,7 @@ KeyFinder::scan(const MemoryImage &image) const
         const double derived_bits =
             static_cast<double>((v.schedule_bytes - v.key_bytes) * 8);
         for (size_t off = 0; off + v.schedule_bytes <= bytes.size();
-             off += config_.stride) {
+             off += kKeyScanStride) {
             std::span<const uint8_t> window(bytes.data() + off,
                                             v.schedule_bytes);
             // Cheap pre-filter: an all-zero or all-equal window is never

@@ -37,11 +37,12 @@ struct KeyCandidate
     double error_fraction;     ///< bit_errors / schedule bits.
 };
 
+/** Scan stride in bytes (key schedules are word-aligned in practice). */
+inline constexpr size_t kKeyScanStride = 4;
+
 /** Scanner configuration. */
 struct KeyFinderConfig
 {
-    /** Scan stride in bytes (key schedules are word-aligned in practice). */
-    size_t stride = 4;
     /**
      * Maximum fraction of schedule bits allowed to disagree before a
      * window is rejected. 0 demands an exact schedule.

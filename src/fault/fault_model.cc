@@ -18,6 +18,12 @@ constexpr uint64_t kChanFire = 0;
 constexpr uint64_t kChanEffect = 1;
 constexpr uint64_t kChanPayload = 2;
 
+/** Below kMarginFraction * nominal, boundaries can fault. */
+constexpr double kMarginFraction = 0.9;
+/** At kCrashFraction * nominal, every boundary faults. */
+constexpr double kCrashFraction = 0.5;
+static_assert(kMarginFraction > kCrashFraction);
+
 } // namespace
 
 TimingFaultModel::TimingFaultModel(TimingFaultConfig cfg,
@@ -27,21 +33,18 @@ TimingFaultModel::TimingFaultModel(TimingFaultConfig cfg,
 {
     if (cycle.seconds() <= 0.0)
         fatal("TimingFaultModel: core clock period must be positive");
-    if (cfg.margin_fraction <= cfg.crash_fraction)
-        fatal("TimingFaultModel: margin_fraction must exceed "
-              "crash_fraction");
 }
 
 Volt
 TimingFaultModel::marginVoltage() const
 {
-    return Volt(wave_.nominal().volts() * cfg_.margin_fraction);
+    return Volt(wave_.nominal().volts() * kMarginFraction);
 }
 
 Volt
 TimingFaultModel::crashVoltage() const
 {
-    return Volt(wave_.nominal().volts() * cfg_.crash_fraction);
+    return Volt(wave_.nominal().volts() * kCrashFraction);
 }
 
 double

@@ -42,13 +42,11 @@ namespace voltboot
 namespace fault
 {
 
-/** Calibration of the voltage-to-fault transfer function. */
+/** Fault-stream settings. The voltage-to-fault calibration (margin 0.9
+ * and crash 0.5 of nominal) is fixed: kMarginFraction and
+ * kCrashFraction in fault_model.cc. */
 struct TimingFaultConfig
 {
-    /** Below margin_fraction * nominal, boundaries can fault. */
-    double margin_fraction = 0.9;
-    /** At crash_fraction * nominal, every boundary faults. */
-    double crash_fraction = 0.5;
     /** Counter-hash seed of the fault stream. */
     uint64_t seed = 1;
 };
@@ -65,7 +63,7 @@ class TimingFaultModel : public FaultInjector
 {
   public:
     /**
-     * @param cfg   Transfer-function calibration and seed.
+     * @param cfg   Fault-stream seed.
      * @param wave  The pulse, in time relative to victim entry.
      * @param cycle Core clock period (one instruction boundary each).
      */

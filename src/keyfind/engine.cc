@@ -15,12 +15,14 @@ namespace keyfind
 namespace
 {
 
+/** Both stages target AES-128: its key and schedule sizes. */
+constexpr size_t kKeyBytes = 16;
+constexpr size_t kScheduleBytes = 176;
+
 /** One work-stealing unit: a contiguous offset range of one stage. */
 struct Task
 {
     bool correction;
-    size_t key_bytes;
-    size_t schedule_bytes;
     size_t off_begin;
     size_t off_end;
 };
@@ -37,18 +39,16 @@ struct TaskResult
 
 /** Append chunked tasks covering every valid offset of one stage. */
 void
-appendTasks(std::vector<Task> &tasks, bool correction, size_t key_bytes,
-            size_t schedule_bytes, size_t image_bytes, size_t stride,
+appendTasks(std::vector<Task> &tasks, bool correction, size_t image_bytes,
             size_t chunk_offsets)
 {
-    if (image_bytes < schedule_bytes)
+    if (image_bytes < kScheduleBytes)
         return;
-    const size_t last_off = image_bytes - schedule_bytes;
-    const size_t span = std::max<size_t>(1, chunk_offsets) * stride;
+    const size_t last_off = image_bytes - kScheduleBytes;
+    const size_t span = std::max<size_t>(1, chunk_offsets) * kKeyScanStride;
     for (size_t begin = 0; begin <= last_off; begin += span)
-        tasks.push_back(Task{correction, key_bytes, schedule_bytes,
-                             begin,
-                             std::min(begin + span, last_off + 1)});
+        tasks.push_back(
+            Task{correction, begin, std::min(begin + span, last_off + 1)});
 }
 
 void
@@ -57,28 +57,27 @@ runCorrectionTask(std::span<const uint8_t> bytes, const Task &task,
                   std::span<const float> flip_likelihood,
                   TaskResult &result)
 {
-    const KeyCorrector corrector(config.correct);
-    const size_t kb = task.key_bytes;
+    const KeyCorrector corrector;
     for (size_t off = task.off_begin; off < task.off_end;
-         off += config.scan.stride) {
+         off += kKeyScanStride) {
         std::span<const uint8_t> window(bytes.data() + off,
-                                        task.schedule_bytes);
+                                        kScheduleBytes);
         // Constant windows are never schedules (Rcon forbids them), and
         // a window whose first derived round already disagrees on more
         // than the prefilter fraction is random data.
         bool all_same = true;
-        for (size_t i = 1; i < kb && all_same; ++i)
+        for (size_t i = 1; i < kKeyBytes && all_same; ++i)
             all_same = window[i] == window[0];
         if (all_same)
             continue;
-        if (KeyCorrector::firstRoundMismatch(window, kb) >
-            config.prefilter_threshold)
+        if (KeyCorrector::firstRoundMismatch(window, kKeyBytes) >
+            kPrefilterThreshold)
             continue;
         ++result.correction.attempted;
         std::span<const float> prior;
         if (config.use_priors && !flip_likelihood.empty())
-            prior = flip_likelihood.subspan(off * 8, kb * 8);
-        CorrectionAttempt a = corrector.attempt(window, kb, prior);
+            prior = flip_likelihood.subspan(off * 8, kKeyBytes * 8);
+        CorrectionAttempt a = corrector.attempt(window, kKeyBytes, prior);
         result.correction.iterations += a.iterations;
         result.correction.distance_evals += a.distance_evals;
         switch (a.gave_up) {
@@ -114,8 +113,8 @@ runTask(std::span<const uint8_t> bytes, const Task &task,
         telemetry::add(telemetry::Counter::KeyfindCorrectionIters,
                        result.correction.iterations);
     } else {
-        scheduleScanRange(bytes, task.key_bytes, task.schedule_bytes,
-                          task.off_begin, task.off_end, config.scan,
+        scheduleScanRange(bytes, kKeyBytes, kScheduleBytes,
+                          task.off_begin, task.off_end, KeyFinderConfig{},
                           result.scan_hits, result.scan);
         telemetry::add(telemetry::Counter::KeyfindOffsets,
                        result.scan.offsets);
@@ -141,33 +140,20 @@ KeyRecoveryEngine::recoverImage(
     const MemoryImage &image,
     std::span<const float> flip_likelihood) const
 {
-    if (config_.scan.stride == 0)
-        fatal("KeyRecoveryEngine: stride must be positive");
     if (!flip_likelihood.empty() &&
         flip_likelihood.size() != image.sizeBits())
         fatal("KeyRecoveryEngine: flip priors must hold one entry per "
               "bit, got ", flip_likelihood.size());
     const auto &bytes = image.bytes();
 
-    // Deterministic task list: scan stages in the reference variant
-    // order, then the correction stage. Workers steal via the cursor;
-    // results land in per-task slots and merge back in list order, so
-    // any interleaving produces the same output.
+    // Deterministic task list: the scan stage, then the correction
+    // stage. Workers steal via the cursor; results land in per-task
+    // slots and merge back in list order, so any interleaving produces
+    // the same output.
     std::vector<Task> tasks;
-    if (config_.scan.aes128)
-        appendTasks(tasks, false, 16, 176, bytes.size(),
-                    config_.scan.stride, config_.chunk_offsets);
-    if (config_.scan.aes256)
-        appendTasks(tasks, false, 32, 240, bytes.size(),
-                    config_.scan.stride, config_.chunk_offsets);
-    if (config_.run_correction) {
-        const size_t kb = config_.correct_key_bytes;
-        if (kb != 16 && kb != 24 && kb != 32)
-            fatal("KeyRecoveryEngine: unsupported correction key size ",
-                  kb);
-        appendTasks(tasks, true, kb, Aes::scheduleBytes(kb), bytes.size(),
-                    config_.scan.stride, config_.chunk_offsets);
-    }
+    appendTasks(tasks, false, bytes.size(), config_.chunk_offsets);
+    if (config_.run_correction)
+        appendTasks(tasks, true, bytes.size(), config_.chunk_offsets);
 
     std::vector<TaskResult> results(tasks.size());
     std::atomic<size_t> cursor{0};

@@ -77,20 +77,16 @@ struct CorrectionStats
     }
 };
 
-/** Engine configuration. */
+/**
+ * Engine configuration. Both stages target AES-128 at kKeyScanStride:
+ * the scan with KeyFinderConfig's defaults, the correction with
+ * KeyCorrectorConfig's defaults behind the kPrefilterThreshold
+ * first-round filter.
+ */
 struct KeyRecoveryConfig
 {
-    /** Exact-scan settings (variants, stride, acceptance threshold). */
-    KeyFinderConfig scan;
-    /** Correction local-search settings. */
-    KeyCorrectorConfig correct;
     /** Run the correction stage (stage 2) at all. */
     bool run_correction = true;
-    /** Key size the correction stage targets (16, 24 or 32). */
-    size_t correct_key_bytes = 16;
-    /** First-round mismatch fraction above which a window skips the
-     * corrector (KeyCorrector::firstRoundMismatch). */
-    double prefilter_threshold = 0.375;
     /** Use per-bit flip priors when the caller provides them. */
     bool use_priors = true;
     /** Worker threads; 0 picks the hardware concurrency. Results are

@@ -1,7 +1,6 @@
 #include "keyfind/schedule_scan.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 
 #include "crypto/key_corrector.hh"
@@ -18,29 +17,6 @@ namespace
 
 /** Residual filter lanes evaluated per batched pass. */
 constexpr unsigned kBatchLanes = 64;
-
-inline uint32_t
-load32(const uint8_t *p)
-{
-    uint32_t v;
-    std::memcpy(&v, p, sizeof(v));
-    return v;
-}
-
-/** Residual sum of the window at @p w for one variant (scalar path,
- * used for non-word strides where lanes are not contiguous). */
-uint32_t
-residualSum(const uint8_t *w, std::span<const unsigned> words,
-            unsigned nk)
-{
-    uint32_t sum = 0;
-    for (unsigned i : words)
-        sum += static_cast<uint32_t>(
-            std::popcount(load32(w + size_t{i} * 4) ^
-                          load32(w + size_t{i - 1} * 4) ^
-                          load32(w + size_t{i - nk} * 4)));
-    return sum;
-}
 
 /** The reference accept test, applied to a survivor window. */
 void
@@ -119,45 +95,30 @@ scheduleScanRange(std::span<const uint8_t> bytes, size_t key_bytes,
     const size_t budget = acceptedErrorBudget(
         config.max_error_fraction, (schedule_bytes - key_bytes) * 8);
 
-    if (config.stride == 4) {
-        // Batched path: 64 consecutive word-aligned offsets per pass,
-        // one strided XOR3+popcount kernel call per relation, then a
-        // scalar compare of each lane's residual sum against the
-        // budget.
-        uint32_t acc[kBatchLanes];
-        for (size_t off = off_begin; off < off_end;
-             off += size_t{kBatchLanes} * 4) {
-            const unsigned lanes = static_cast<unsigned>(
-                std::min<size_t>(kBatchLanes, (off_end - off + 3) / 4));
-            std::memset(acc, 0, sizeof(uint32_t) * lanes);
-            const uint8_t *base = bytes.data() + off;
-            for (unsigned i : words)
-                xorTriplePopcountAccumulate(
-                    base, size_t{i} * 4, size_t{i - 1} * 4,
-                    size_t{i - nk} * 4, lanes, acc);
-            stats.offsets += lanes;
-            for (unsigned l = 0; l < lanes; ++l) {
-                if (acc[l] > budget) {
-                    ++stats.early_rejects;
-                    continue;
-                }
-                ++stats.scored;
-                scoreWindow(bytes, off + size_t{l} * 4, key_bytes,
-                            schedule_bytes, config.max_error_fraction,
-                            hits);
-            }
-        }
-    } else {
-        for (size_t off = off_begin; off < off_end;
-             off += config.stride) {
-            ++stats.offsets;
-            if (residualSum(bytes.data() + off, words, nk) > budget) {
+    // Batched path: 64 consecutive word-aligned offsets per pass, one
+    // strided XOR3+popcount kernel call per relation, then a scalar
+    // compare of each lane's residual sum against the budget.
+    static_assert(kKeyScanStride == 4, "lanes are consecutive words");
+    uint32_t acc[kBatchLanes];
+    for (size_t off = off_begin; off < off_end;
+         off += size_t{kBatchLanes} * 4) {
+        const unsigned lanes = static_cast<unsigned>(
+            std::min<size_t>(kBatchLanes, (off_end - off + 3) / 4));
+        std::memset(acc, 0, sizeof(uint32_t) * lanes);
+        const uint8_t *base = bytes.data() + off;
+        for (unsigned i : words)
+            xorTriplePopcountAccumulate(base, size_t{i} * 4,
+                                        size_t{i - 1} * 4,
+                                        size_t{i - nk} * 4, lanes, acc);
+        stats.offsets += lanes;
+        for (unsigned l = 0; l < lanes; ++l) {
+            if (acc[l] > budget) {
                 ++stats.early_rejects;
                 continue;
             }
             ++stats.scored;
-            scoreWindow(bytes, off, key_bytes, schedule_bytes,
-                        config.max_error_fraction, hits);
+            scoreWindow(bytes, off + size_t{l} * 4, key_bytes,
+                        schedule_bytes, config.max_error_fraction, hits);
         }
     }
 }

@@ -61,7 +61,7 @@ struct ScanStats
 
 /**
  * Scan byte offsets [off_begin, off_end) of @p bytes (at
- * @p config.stride spacing, off_begin itself being the first candidate)
+ * kKeyScanStride spacing, off_begin itself being the first candidate)
  * for schedules of one AES variant, appending accepted candidates to
  * @p hits in ascending-offset order. Offsets whose window would overrun
  * the buffer are skipped. The accepted set and every candidate field

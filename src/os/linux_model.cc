@@ -13,12 +13,36 @@ constexpr uint64_t kVictimBaseOffset = 0x40000;
 constexpr uint64_t kVictimStride = 0x10000; // 64 KB per core
 constexpr uint64_t kKernelRegionOffset = 0x100000;
 
+/**
+ * Kernel/daemon accesses per victim access, per core. Expressing the
+ * noise per victim access (rather than per pass) models wall-clock
+ * fairly: a benchmark looping over a small array completes passes
+ * proportionally faster, so each pass absorbs proportionally less
+ * kernel interference. The value calibrates the Table 4 shape: ~100%
+ * recovery below the cache size, ~10% loss at cache size.
+ */
+constexpr double kKernelNoisePerVictimAccess = 0.025;
+/** Bytes of kernel working set the noise touches (per core). */
+constexpr size_t kKernelRegionBytes = 256 * 1024;
+/**
+ * Fraction of kernel accesses that land in a small hot set (timer tick
+ * handlers, scheduler data): these mostly hit in the cache and exert
+ * little eviction pressure. The cold remainder sweeps the full kernel
+ * region and does the evicting. Real kernels are strongly
+ * locality-dominated, which is why a 4 KB victim array survives at
+ * 100% while a cache-sized one loses ~10% (Table 4).
+ */
+constexpr double kKernelHotFraction = 0.85;
+/** Size of the kernel's hot working set. */
+constexpr size_t kKernelHotBytes = 8 * 1024;
+/** Victim passes over the array before the attack strikes. */
+constexpr size_t kVictimPasses = 12;
+
 } // namespace
 
-LinuxModel::LinuxModel(Soc &soc, LinuxModelConfig config)
-    : soc_(soc), config_(config), rng_(config.seed)
+LinuxModel::LinuxModel(Soc &soc, uint64_t seed) : soc_(soc), rng_(seed)
 {
-    const size_t need = kKernelRegionOffset + config_.kernel_region_bytes;
+    const size_t need = kKernelRegionOffset + kKernelRegionBytes;
     if (soc_.config().dram_bytes < need)
         fatal("LinuxModel: DRAM too small for the benchmark layout (need ",
               need, " bytes)");
@@ -44,14 +68,13 @@ LinuxModel::kernelNoise(size_t core, size_t count)
         soc_.config().dram_base + kKernelRegionOffset;
     for (size_t i = 0; i < count; ++i) {
         uint64_t addr;
-        if (rng_.chance(config_.kernel_hot_fraction)) {
+        if (rng_.chance(kKernelHotFraction)) {
             // Hot kernel structures: tight reuse, almost always hits.
-            addr = region + (rng_.below(config_.kernel_hot_bytes / 8) * 8);
+            addr = region + (rng_.below(kKernelHotBytes / 8) * 8);
         } else {
             // Cold sweeps (page cache, slab churn): these allocate and
             // evict.
-            addr = region +
-                   (rng_.below(config_.kernel_region_bytes / 8) * 8);
+            addr = region + (rng_.below(kKernelRegionBytes / 8) * 8);
         }
         // Mix of reads and writes.
         if (rng_.chance(0.3))
@@ -92,9 +115,9 @@ LinuxModel::runArrayBenchmark(size_t array_bytes)
     // Steady-state phase: victims loop over their arrays; the kernel's
     // background work interleaves. The noise is spread uniformly through
     // each pass rather than batched, like timer ticks and daemons.
-    const double noise_per_access = config_.kernel_noise_per_victim_access;
-    for (size_t pass = 0; pass < config_.victim_passes; ++pass) {
-        const bool last = pass + 1 == config_.victim_passes;
+    const double noise_per_access = kKernelNoisePerVictimAccess;
+    for (size_t pass = 0; pass < kVictimPasses; ++pass) {
+        const bool last = pass + 1 == kVictimPasses;
         // The power cut lands mid-pass at a random element.
         const size_t cut = last ? rng_.below(n) : n;
         for (size_t core = 0; core < soc_.coreCount(); ++core) {

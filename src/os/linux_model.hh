@@ -9,7 +9,7 @@
  * attacker recovers from the d-cache falls from 100% to ~90%. We model
  * exactly that mechanism: per-core victim processes stream over their
  * arrays through the real simulated caches while "kernel" accesses with a
- * configurable rate touch random lines in a separate kernel region.
+ * fixed, calibrated rate touch random lines in a separate kernel region.
  */
 
 #ifndef VOLTBOOT_OS_LINUX_MODEL_HH
@@ -24,37 +24,6 @@
 
 namespace voltboot
 {
-
-/** Tunables of the OS contention model. */
-struct LinuxModelConfig
-{
-    /**
-     * Kernel/daemon accesses per victim access, per core. Expressing the
-     * noise per victim access (rather than per pass) models wall-clock
-     * fairly: a benchmark looping over a small array completes passes
-     * proportionally faster, so each pass absorbs proportionally less
-     * kernel interference. The default calibrates the Table 4 shape:
-     * ~100% recovery below the cache size, ~10% loss at cache size.
-     */
-    double kernel_noise_per_victim_access = 0.025;
-    /** Bytes of kernel working set the noise touches (per core). */
-    size_t kernel_region_bytes = 256 * 1024;
-    /**
-     * Fraction of kernel accesses that land in a small hot set (timer
-     * tick handlers, scheduler data): these mostly hit in the cache and
-     * exert little eviction pressure. The cold remainder sweeps the full
-     * kernel region and does the evicting. Real kernels are strongly
-     * locality-dominated, which is why a 4 KB victim array survives at
-     * 100% while a cache-sized one loses ~10% (Table 4).
-     */
-    double kernel_hot_fraction = 0.85;
-    /** Size of the kernel's hot working set. */
-    size_t kernel_hot_bytes = 8 * 1024;
-    /** Victim passes over the array before the attack strikes. */
-    size_t victim_passes = 12;
-    /** RNG seed for scheduling noise. */
-    uint64_t seed = 0x11eb;
-};
 
 /** Ground truth of one core's victim benchmark. */
 struct VictimArray
@@ -72,7 +41,8 @@ struct VictimArray
 class LinuxModel
 {
   public:
-    LinuxModel(Soc &soc, LinuxModelConfig config = {});
+    /** @p seed seeds the scheduling-noise RNG. */
+    LinuxModel(Soc &soc, uint64_t seed = 0x11eb);
 
     /** Kernel boot: invalidate stale tags, enable L1s on every core. */
     void boot();
@@ -123,7 +93,6 @@ class LinuxModel
     void kernelNoise(size_t core, size_t count);
 
     Soc &soc_;
-    LinuxModelConfig config_;
     Rng rng_;
     uint64_t noise_count_ = 0;
 };

@@ -91,15 +91,6 @@ renderBucketTable(const char *label,
 
 } // namespace
 
-std::string
-trialTracePath(const std::string &trace_dir, uint64_t index)
-{
-    char name[32];
-    std::snprintf(name, sizeof(name), "trial_%06llu.jsonl",
-                  static_cast<unsigned long long>(index));
-    return (std::filesystem::path(trace_dir) / name).string();
-}
-
 TraceReport
 buildTraceReport(std::span<const trace::TraceEvent> events,
                  const std::string &source, bool check)

@@ -92,10 +92,6 @@ struct CampaignReport
 CampaignReport buildCampaignReport(const SweepDoc &sweep,
                                    const CampaignReportOptions &opts);
 
-/** The `trial_NNNNNN.jsonl` path for @p index under @p trace_dir;
- * matches Campaign's own trace naming. */
-std::string trialTracePath(const std::string &trace_dir, uint64_t index);
-
 } // namespace report
 } // namespace voltboot
 

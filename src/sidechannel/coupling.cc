@@ -17,6 +17,15 @@ namespace sidechannel
 namespace
 {
 
+/** Capture start time (simulation seconds). */
+constexpr Seconds kStart = Seconds::nanoseconds(10.0);
+/** One rail sample per processed byte, one byte per cycle. */
+constexpr Seconds kCycle = Seconds::nanoseconds(1.0);
+/** Idle cycles between blocks (rail back at nominal). */
+constexpr uint64_t kGapCycles = 4;
+/** Minimum |r| for a byte to count as recovered. */
+constexpr double kConfidenceThreshold = 0.25;
+
 /** Uniform double in [0, 1) from one hash value. */
 double
 unitFromHash(uint64_t h)
@@ -103,10 +112,10 @@ runCoupledAesVictim(const CouplingVictimConfig &config)
 
     const std::array<uint8_t, 256> &sbox = Aes::sbox();
     const std::string counter_name = "voltage." + config.domain;
-    const double cyc = config.cycle.seconds();
-    const double start = config.start.seconds();
+    const double cyc = kCycle.seconds();
+    const double start = kStart.seconds();
     const double block_period =
-        (16.0 + static_cast<double>(config.gap_cycles)) * cyc;
+        (16.0 + static_cast<double>(kGapCycles)) * cyc;
 
     auto sample = [&](double t, double v) {
         trace::TraceEvent ev;
@@ -120,7 +129,7 @@ runCoupledAesVictim(const CouplingVictimConfig &config)
     };
 
     double last_t = start;
-    for (uint64_t b = 0; b < config.blocks; ++b) {
+    for (uint64_t b = 0; b < kCouplingBlocks; ++b) {
         const double t_b = start + static_cast<double>(b) * block_period;
 
         std::array<uint8_t, 16> pt;
@@ -153,7 +162,7 @@ runCoupledAesVictim(const CouplingVictimConfig &config)
         last_t = t_b + 16.0 * cyc;
         sample(last_t, config.nominal.volts());
     }
-    run.blocks = config.blocks;
+    run.blocks = kCouplingBlocks;
 
     // The capture span closes over its children (aggregator contract:
     // children precede parents in emission order).
@@ -161,14 +170,14 @@ runCoupledAesVictim(const CouplingVictimConfig &config)
     span.phase = trace::Phase::Complete;
     span.category = "power";
     span.name = "coupling.capture";
-    span.ts = config.start;
+    span.ts = kStart;
     span.dur = Seconds(last_t - start);
     span.args.push_back({"domain", config.domain});
     span.args.push_back({"nominal_v", config.nominal.volts()});
     span.args.push_back(
         {"dip_bound_v",
          (config.couple_mv_per_bit * 9.0 + config.noise_mv) / 1000.0});
-    span.args.push_back({"blocks", config.blocks});
+    span.args.push_back({"blocks", kCouplingBlocks});
     span.args.push_back({"cycle_ns", cyc * 1e9});
     trace::emit(std::move(span));
 
@@ -291,7 +300,7 @@ analyzeCoupling(const std::vector<trace::TraceEvent> &events,
                 best.best_corr = score;
             }
         }
-        best.confident = best.best_corr >= opts.confidence_threshold;
+        best.confident = best.best_corr >= kConfidenceThreshold;
         if (best.confident)
             ++result.recovered;
         result.bytes[byte] = best;

@@ -50,21 +50,19 @@ namespace voltboot
 namespace sidechannel
 {
 
-/** The coupled AES victim: what it encrypts and how hard it leaks. */
+/** Number of known-plaintext blocks the victim captures. */
+inline constexpr uint64_t kCouplingBlocks = 48;
+
+/**
+ * The coupled AES victim: what it encrypts and how hard it leaks. The
+ * capture timing (start 10 ns, one byte per 1 ns cycle, 4 idle cycles
+ * between blocks) is fixed in coupling.cc.
+ */
 struct CouplingVictimConfig
 {
     /** Rail the victim's activity couples into. */
     std::string domain = "core";
     Volt nominal{0.8};
-
-    /** Number of known-plaintext blocks captured. */
-    uint64_t blocks = 48;
-    /** Capture start time (simulation seconds). */
-    Seconds start = Seconds::nanoseconds(10.0);
-    /** One rail sample per processed byte, one byte per cycle. */
-    Seconds cycle = Seconds::nanoseconds(1.0);
-    /** Idle cycles between blocks (rail back at nominal). */
-    uint64_t gap_cycles = 4;
 
     /** Rail dip per Hamming-weight unit, in millivolts. */
     double couple_mv_per_bit = 2.0;
@@ -102,7 +100,8 @@ struct CpaByteResult
     bool confident = false;
 };
 
-/** Analyzer knobs. */
+/** Analyzer knobs. A byte counts as recovered when its |r| reaches
+ * kConfidenceThreshold (0.25, coupling.cc). */
 struct CpaOptions
 {
     /** Which voltage.<domain> counter carries the leakage. Empty =
@@ -112,8 +111,6 @@ struct CpaOptions
     /** Only correlate samples within this many ns of each aes.block
      * marker; 0 = use every sample up to the next block. */
     double window_ns = 0.0;
-    /** Minimum |r| for a byte to count as recovered. */
-    double confidence_threshold = 0.25;
 };
 
 /** Full CPA ranking over a parsed trace. */

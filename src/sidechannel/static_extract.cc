@@ -19,9 +19,28 @@ namespace sidechannel
 namespace
 {
 
+/** Ramp start relative to victim entry. */
+constexpr Seconds kRampOffset = Seconds::nanoseconds(20.0);
+/** Supply-path impedance that sets the ramp edge slew. */
+constexpr Ohm kRampImpedance = Ohm::milliohms(20.0);
+/** Core clock period: one instruction boundary per cycle. */
+constexpr Seconds kCycle = Seconds::nanoseconds(1.0);
+/** Brown-out threshold as a fraction of nominal: the clock stops once
+ * the rail sags below kFreezeFraction x nominal. */
+constexpr double kFreezeFraction = 0.7;
+/** Victim countdown iterations before it starts zeroizing. */
+constexpr uint64_t kVictimCountdown = 64;
+/** Step budget for the victim run (hang cutoff). */
+constexpr uint64_t kMaxSteps = 100000;
+/** Victim program load address, as a DRAM-base offset. */
+constexpr uint64_t kLoadOffset = 0x1000;
+/** Region the victim wipes (the staged secret) on the DCache target,
+ * as a DRAM-base offset; the wipe covers the whole target array. */
+constexpr uint64_t kDataOffset = 0x40000;
+
 /**
  * The brown-out detector: freeze the clock while the rail sits below
- * freeze_fraction x nominal. A pure function of the waveform and the
+ * kFreezeFraction x nominal. A pure function of the waveform and the
  * retired-instruction count, so replays are byte-identical.
  */
 class UndervoltClockGate : public ClockGate
@@ -156,7 +175,7 @@ namespace
 
 /** Countdown spin, then a zeroize of the secret, then hlt. */
 std::string
-buildZeroizeVictim(const StaticExtractConfig &cfg, uint64_t wipe_base,
+buildZeroizeVictim(ExtractTarget target, uint64_t wipe_base,
                    size_t wipe_bytes, bool enable_caches)
 {
     std::ostringstream os;
@@ -165,13 +184,11 @@ buildZeroizeVictim(const StaticExtractConfig &cfg, uint64_t wipe_base,
         os << "    movz x0, #0x1004\n";
         os << "    msr sctlr_el1, x0\n";
     }
-    if (cfg.victim_countdown > 0) {
-        os << workloads::loadImm64("x5", cfg.victim_countdown);
-        os << "spin_loop:\n";
-        os << "    sub x5, x5, #1\n";
-        os << "    cbnz x5, spin_loop\n";
-    }
-    if (cfg.target == ExtractTarget::Regs) {
+    os << workloads::loadImm64("x5", kVictimCountdown);
+    os << "spin_loop:\n";
+    os << "    sub x5, x5, #1\n";
+    os << "    cbnz x5, spin_loop\n";
+    if (target == ExtractTarget::Regs) {
         for (unsigned v = 0; v < 32; ++v)
             os << "    vdup v" << v << ", #0\n";
     } else {
@@ -208,12 +225,11 @@ StaticExtractAttack::execute()
     // victim wipes to destroy it.
     const MemoryArray *target_array = nullptr;
     uint64_t wipe_base = 0;
-    size_t wipe_bytes = config_.data_bytes;
     bool caches_on = false;
     switch (config_.target) {
       case ExtractTarget::DCache:
         target_array = &soc_.l1dData(0);
-        wipe_base = soc_.config().dram_base + config_.data_offset;
+        wipe_base = soc_.config().dram_base + kDataOffset;
         caches_on = true;
         break;
       case ExtractTarget::Regs:
@@ -224,34 +240,32 @@ StaticExtractAttack::execute()
         wipe_base = soc_.memory().iram()->base();
         break;
     }
-    if (wipe_bytes == 0)
-        wipe_bytes = target_array->sizeBytes();
 
-    victim_source_ = buildZeroizeVictim(config_, wipe_base, wipe_bytes,
+    victim_source_ = buildZeroizeVictim(config_.target, wipe_base,
+                                        target_array->sizeBytes(),
                                         caches_on);
     Program victim = Assembler::assemble(victim_source_);
-    victim.load_address = soc_.config().dram_base + config_.load_offset;
+    victim.load_address = soc_.config().dram_base + kLoadOffset;
     soc_.loadProgram(victim);
     soc_.memory().l1i(0).invalidateAll();
     if (config_.target != ExtractTarget::DCache)
         soc_.memory().l1d(0).invalidateAll();
 
     const DomainSpec &domain = targetDomain();
-    const fault::GlitchParams ramp{config_.ramp_offset, config_.hold,
+    const fault::GlitchParams ramp{kRampOffset, config_.hold,
                                    config_.depth};
-    const fault::GlitchWaveform wave(domain.nominal, ramp,
-                                     config_.ramp_impedance, domain.decap);
+    const fault::GlitchWaveform wave(domain.nominal, ramp, kRampImpedance,
+                                     domain.decap);
     const bool live = !ramp.degenerate();
 
-    UndervoltClockGate gate(wave,
-                            config_.freeze_fraction * domain.nominal.volts(),
-                            config_.cycle);
+    UndervoltClockGate gate(wave, kFreezeFraction * domain.nominal.volts(),
+                            kCycle);
     Cpu &cpu = soc_.cpu(0);
     GateGuard guard(cpu, live ? &gate : nullptr);
     cpu.reset(victim.load_address);
 
     const Seconds anchor = soc_.eventQueue().now();
-    const double cyc = config_.cycle.seconds();
+    const double cyc = kCycle.seconds();
 
     StaticExtractOutcome out;
     out.floor_v = live ? wave.floor().volts() : domain.nominal.volts();
@@ -260,12 +274,12 @@ StaticExtractAttack::execute()
     // costs one cycle; the gate freezes the core the first time the
     // rail is below brown-out at a boundary.
     uint64_t steps = 0;
-    while (steps < config_.max_steps) {
+    while (steps < kMaxSteps) {
         const bool more = cpu.step();
         if (!more)
             break;
         ++steps;
-        soc_.advanceTime(config_.cycle);
+        soc_.advanceTime(kCycle);
     }
     out.steps = steps;
     out.frozen = cpu.frozen();
@@ -283,7 +297,7 @@ StaticExtractAttack::execute()
 
     // Phase C: record the ramp, apply the retention physics, read out.
     if (live) {
-        emitHoldTrace(wave, domain.name, anchor, config_.cycle);
+        emitHoldTrace(wave, domain.name, anchor, kCycle);
         if (PowerDomain *pd = soc_.board().pmic().domain(domain.name)) {
             for (MemoryArray *load : pd->loads()) {
                 load->droopTo(wave.floor());

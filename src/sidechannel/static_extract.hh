@@ -21,14 +21,14 @@
  *    invariant audits;
  *  - an isa/cpu ClockGate samples the waveform at each instruction
  *    boundary and freezes the core once the rail sags below
- *    freeze_fraction x nominal (the brown-out detector's threshold);
+ *    kFreezeFraction (0.7) x nominal (the brown-out detector's threshold);
  *  - sram/MemoryArray::droopTo applies the retention physics: cells
  *    whose DRV exceeds the waveform floor flip to their power-up
  *    fingerprints, so digging too deep corrupts the very state the
  *    freeze preserved.
  *
  * The victim is a countdown-then-zeroize program: it spins for a
- * configurable number of cycles and then wipes the secret region. A
+ * fixed number of cycles (64) and then wipes the secret region. A
  * well-timed, deep-enough ramp freezes the clock before the wipe
  * reaches the secret; a shallow ramp lets the zeroize win; an
  * over-deep ramp freezes the core but kills the cells. The success
@@ -60,7 +60,10 @@ enum class ExtractTarget
 
 const char *toString(ExtractTarget target);
 
-/** Bench settings for one static-extraction run. */
+/** Bench settings for one static-extraction run: the target and the
+ * three sweep axes. The ramp start and slew, core clock, brown-out
+ * threshold, victim countdown, step budget and victim layout are fixed
+ * (constants in static_extract.cc). */
 struct StaticExtractConfig
 {
     ExtractTarget target = ExtractTarget::DCache;
@@ -69,10 +72,6 @@ struct StaticExtractConfig
     Volt depth{0.45};
     /** How long the rail is held at the floor before release. */
     Seconds hold = Seconds::nanoseconds(400.0);
-    /** Ramp start relative to victim entry. */
-    Seconds ramp_offset = Seconds::nanoseconds(20.0);
-    /** Supply-path impedance that sets the ramp edge slew. */
-    Ohm ramp_impedance = Ohm::milliohms(20.0);
 
     /**
      * Readout bandwidth of the slow extraction path, in bytes per
@@ -81,26 +80,6 @@ struct StaticExtractConfig
      * observed and read back as zero.
      */
     double readout_rate = 0.0;
-
-    /** Core clock period: one instruction boundary per cycle. */
-    Seconds cycle = Seconds::nanoseconds(1.0);
-    /** Brown-out threshold as a fraction of nominal: the clock stops
-     * once the rail sags below freeze_fraction x nominal. */
-    double freeze_fraction = 0.7;
-
-    /** Victim countdown iterations before it starts zeroizing. */
-    uint64_t victim_countdown = 64;
-    /** Step budget for the victim run (hang cutoff). */
-    uint64_t max_steps = 100000;
-    /** Determinism seed (reserved for future stochastic readout). */
-    uint64_t seed = 1;
-
-    /** Victim layout, as DRAM-base offsets. */
-    uint64_t load_offset = 0x1000;
-    /** Region the victim wipes (the staged secret); DCache target. */
-    uint64_t data_offset = 0x40000;
-    /** Wipe length; 0 = size of the target array. */
-    size_t data_bytes = 0;
 };
 
 /** Outcome of one static-extraction run. */

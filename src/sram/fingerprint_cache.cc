@@ -1,6 +1,5 @@
 #include "sram/fingerprint_cache.hh"
 
-#include <cstdlib>
 #include <list>
 #include <mutex>
 #include <unordered_map>
@@ -21,20 +20,6 @@ namespace
  * bounding memory on seed-heavy campaigns.
  */
 constexpr size_t kDefaultCacheBytes = size_t{512} << 20;
-
-/** VOLTBOOT_FINGERPRINT_CACHE_MB, or the default on unset/garbage. */
-size_t
-initialCapacityBytes()
-{
-    const char *env = std::getenv("VOLTBOOT_FINGERPRINT_CACHE_MB");
-    if (!env || !*env)
-        return kDefaultCacheBytes;
-    char *end = nullptr;
-    const unsigned long long mb = std::strtoull(env, &end, 10);
-    if (end == env || *end != '\0')
-        return kDefaultCacheBytes;
-    return static_cast<size_t>(mb) << 20;
-}
 
 struct KeyHash
 {
@@ -66,7 +51,7 @@ struct Cache
     std::unordered_map<FingerprintKey, decltype(lru)::iterator, KeyHash>
         index;
     size_t bytes = 0;
-    size_t capacity = initialCapacityBytes();
+    size_t capacity = kDefaultCacheBytes;
     FingerprintCacheStats stats;
 };
 

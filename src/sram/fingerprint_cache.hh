@@ -18,15 +18,12 @@
  * The budget is bytes, not entries: one DRAM-scale plane triple can
  * weigh hundreds of MB, so counting entries would let a single huge
  * die blow memory while dozens of small dies barely register. It
- * defaults to 512 MB and is settable via the
- * VOLTBOOT_FINGERPRINT_CACHE_MB environment variable (read once at
- * first use; 0 disables caching entirely) or
- * setFingerprintCacheCapacity() (tests/embedders, takes effect
- * immediately). Entries whose own footprint exceeds the budget are
- * handed to the caller but never inserted — a plane bigger than the
- * whole cache would otherwise evict everything else and then be
- * evicted itself on the next insert, thrashing the cache without ever
- * producing a hit.
+ * defaults to 512 MB; setFingerprintCacheCapacity() (tests and
+ * benches) changes it immediately, and 0 disables caching entirely.
+ * Entries whose own footprint exceeds the budget are handed to the
+ * caller but never inserted — a plane bigger than the whole cache
+ * would otherwise evict everything else and then be evicted itself on
+ * the next insert, thrashing the cache without ever producing a hit.
  */
 
 #ifndef VOLTBOOT_SRAM_FINGERPRINT_CACHE_HH
@@ -124,7 +121,7 @@ FingerprintCacheStats fingerprintCacheStats();
 
 /**
  * Override the byte budget (takes effect immediately; evicts down to
- * the new budget). Supersedes VOLTBOOT_FINGERPRINT_CACHE_MB.
+ * the new budget).
  */
 void setFingerprintCacheCapacity(size_t bytes);
 

@@ -496,6 +496,17 @@ TEST(Campaign, CsvQuotesEmbeddedCommasAndRoundTrips)
     EXPECT_EQ(byCol.at("detail"), "said \"pass\", then crashed");
 }
 
+TEST(Campaign, TrialTracePathKeepsEveryDigit)
+{
+    EXPECT_EQ(trialTracePath("traces", 0), "traces/trial_000000.jsonl");
+    EXPECT_EQ(trialTracePath("traces", 1234567),
+              "traces/trial_1234567.jsonl");
+    // A 20-digit index used to be cut off by a 32-byte name buffer.
+    EXPECT_EQ(trialTracePath("traces",
+                             std::numeric_limits<uint64_t>::max()),
+              "traces/trial_18446744073709551615.jsonl");
+}
+
 TEST(Campaign, GlitchSweepIsByteIdenticalAcrossJobCounts)
 {
     const SweepGrid grid = SweepGrid::parse(

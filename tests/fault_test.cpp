@@ -102,8 +102,6 @@ TEST(TimingFaultModel, ThresholdVoltagesDeriveFromNominal)
     const fault::GlitchWaveform w(Volt(0.8), pulse(0, 10, 0.4),
                                   Ohm(1.0), Farad(1e-9));
     fault::TimingFaultConfig cfg;
-    cfg.margin_fraction = 0.9;
-    cfg.crash_fraction = 0.5;
     const fault::TimingFaultModel m(cfg, w, Seconds::nanoseconds(1));
     EXPECT_NEAR(m.marginVoltage().volts(), 0.72, 1e-12);
     EXPECT_NEAR(m.crashVoltage().volts(), 0.40, 1e-12);

@@ -272,7 +272,7 @@ oracleAttempt(const KeyCorrectorConfig &config,
     std::vector<uint8_t> key(window.begin(), window.begin() + key_bytes);
 
     if (KeyCorrector::linearResidualFraction(window, key_bytes) >
-        config.give_up_residual) {
+        kGiveUpResidual) {
         out.gave_up = GiveUpReason::ErrorFloor;
         out.residual_bit_errors = oracleDistance(key, window);
         out.distance_evals = 1;
@@ -344,7 +344,7 @@ oracleAttempt(const KeyCorrectorConfig &config,
             config.accept_threshold)
             break;
         if (static_cast<double>(best) / schedule_bits >
-            config.lookahead_threshold) {
+            kLookaheadThreshold) {
             stalled = GiveUpReason::ErrorFloor;
             break;
         }

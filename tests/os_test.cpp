@@ -122,9 +122,7 @@ table4Recovery(size_t array_bytes, uint64_t seed)
 {
     Soc soc(SocConfig::bcm2711());
     soc.powerOn();
-    LinuxModelConfig cfg;
-    cfg.seed = seed;
-    LinuxModel linux_model(soc, cfg);
+    LinuxModel linux_model(soc, seed);
     linux_model.boot();
     const auto truth = linux_model.runArrayBenchmark(array_bytes);
 

@@ -1459,6 +1459,32 @@ TEST(Cli, ColdbootAgreesWithTheOneTrialSweep)
         << cold.out;
 }
 
+TEST(Cli, AttackAgreesWithTheOneTrialSweep)
+{
+    // attack runs on the one-trial sweep's bench: the same die, probe
+    // and staged victim. A 0.2 A probe is current-limited, so the dump
+    // decays and the two error rates only agree on the same die.
+    const std::string dir = tempDir("cli_attack_sweep");
+    const CliResult attack =
+        runCli("attack --board pi4 --current 0.2", dir);
+    ASSERT_EQ(attack.exit_code, 0) << attack.err;
+    const CliResult sweep = runCli(
+        "sweep --grid \"board=pi4;attack=voltboot;current=0.2\" "
+        "--jobs 1 --quiet --out " +
+            dir + "/sweep.json",
+        dir);
+    ASSERT_EQ(sweep.exit_code, 0) << sweep.err;
+    const report::SweepDoc doc = report::readSweepFile(dir + "/sweep.json");
+    ASSERT_EQ(doc.records.size(), 1u);
+    ASSERT_LT(doc.records[0].accuracy, 1.0);
+    const std::string expected =
+        "error vs staged victim: " +
+        TextTable::pct(doc.records[0].bit_error_rate) + " ";
+    EXPECT_NE(attack.out.find(expected), std::string::npos)
+        << "expected '" << expected << "' in:\n"
+        << attack.out;
+}
+
 TEST(Cli, AttackRunsTheStagedVictim)
 {
     const std::string dir = tempDir("cli_attack");

@@ -502,10 +502,8 @@ TEST(GoldenEquivalence, CampaignJsonCsvAndTracesAreByteIdentical)
         const std::string csv = result.toCsv();
         std::vector<std::string> traces;
         for (uint64_t i = 0; i < grid.size(); ++i) {
-            char name[32];
-            std::snprintf(name, sizeof(name), "trial_%06llu.jsonl",
-                          static_cast<unsigned long long>(i));
-            traces.push_back(readFile(dir / name));
+            const std::string name = trialTracePath(dir.string(), i);
+            traces.push_back(readFile(name));
             EXPECT_FALSE(traces.back().empty()) << name;
         }
         if (ref_json.empty()) {

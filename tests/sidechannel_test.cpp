@@ -189,7 +189,7 @@ captureVictim(const sidechannel::CouplingVictimConfig &cfg)
     {
         trace::Scope scope(sink);
         const auto run = sidechannel::runCoupledAesVictim(cfg);
-        EXPECT_EQ(run.blocks, cfg.blocks);
+        EXPECT_EQ(run.blocks, sidechannel::kCouplingBlocks);
     }
     return sink.events();
 }
@@ -201,7 +201,7 @@ TEST(Coupling, CpaRecoversTheFullKey)
     const auto events = captureVictim(cfg);
 
     const auto cpa = sidechannel::analyzeCoupling(events, {});
-    EXPECT_EQ(cpa.blocks, cfg.blocks);
+    EXPECT_EQ(cpa.blocks, sidechannel::kCouplingBlocks);
     EXPECT_EQ(sidechannel::countCorrectBytes(cpa, cfg.key), 16u);
     EXPECT_GE(cpa.recovered, 13u); // >= 80% confident
 }
@@ -234,7 +234,7 @@ TEST(Coupling, FlatWaveformRecoversNothing)
     const auto events = captureVictim(cfg);
 
     const auto cpa = sidechannel::analyzeCoupling(events, {});
-    EXPECT_EQ(cpa.blocks, cfg.blocks);
+    EXPECT_EQ(cpa.blocks, sidechannel::kCouplingBlocks);
     EXPECT_EQ(cpa.recovered, 0u);
     for (const auto &byte : cpa.bytes) {
         EXPECT_FALSE(byte.confident);

@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -382,13 +381,8 @@ TEST(TraceIntegration, CampaignTracesAreByteIdenticalAcrossJobs)
     const uint64_t trials = SweepGrid::parse(spec).size();
     ASSERT_GT(trials, 1u);
     for (uint64_t i = 0; i < trials; ++i) {
-        char name[32];
-        std::snprintf(name, sizeof(name), "trial_%06llu.jsonl",
-                      static_cast<unsigned long long>(i));
-        const std::string a =
-            readFile((std::filesystem::path(dir1) / name).string());
-        const std::string b =
-            readFile((std::filesystem::path(dir4) / name).string());
+        const std::string a = readFile(trialTracePath(dir1, i));
+        const std::string b = readFile(trialTracePath(dir4, i));
         EXPECT_EQ(a, b) << "trial " << i
                         << " trace differs across job counts";
         // Every trial file carries its runner events plus the engine's

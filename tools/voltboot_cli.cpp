@@ -317,20 +317,17 @@ trialSpecFor(const Options &o, AttackKind attack)
     return spec;
 }
 
+/** Volt Boot step by step on the bench, die and victim of the one-trial
+ * sweep at the default seed, so its error rate is that record's. */
 int
 cmdAttack(const Options &o)
 {
     const TrialSpec spec = trialSpecFor(o, AttackKind::VoltBoot);
-    Soc soc(socConfigFor(spec.board));
-    soc.setAmbient(Temperature::celsius(spec.temp_c));
-    soc.powerOn();
-    Rng rng(deriveTrialSeed(CampaignConfig{}.seed, spec.index));
-    stageVictim(soc, spec, rng);
-
-    AttackConfig acfg;
-    acfg.probe_max_current = Amp(spec.current_a);
-    acfg.off_time = Seconds::milliseconds(spec.off_ms);
-    VoltBootAttack attack(soc, acfg);
+    const uint64_t seed = CampaignConfig{}.seed;
+    TrialBench bench(spec, seed);
+    Rng rng(deriveTrialSeed(seed, spec.index));
+    const Victim victim = stageVictim(bench.soc, spec, rng);
+    VoltBootAttack attack(bench.soc, bench.attack);
 
     AttackOutcome out = o.pad.empty() ? attack.attachProbe()
                                       : attack.attachProbeAt(o.pad);
@@ -349,6 +346,10 @@ cmdAttack(const Options &o)
               << TextTable::num(dump.onesDensity(), 4)
               << ", byte entropy "
               << TextTable::num(dump.byteEntropy(), 2) << " bits\n";
+    std::cout << "error vs staged victim: "
+              << TextTable::pct(
+                     MemoryImage::fractionalHamming(dump, victim.truth))
+              << " (50% = nothing retained)\n";
     std::cout << dump.hexdump(128);
     return 0;
 }
