@@ -1,18 +1,22 @@
 /**
  * @file
  * Shared helpers for the bench harness binaries: banner printing, image
- * saving, and common victim setup, so each bench reads like the
- * experiment it reproduces.
+ * saving, artefact number formatting and flag parsing, so each bench
+ * reads like the experiment it reproduces.
  */
 
 #ifndef VOLTBOOT_BENCH_BENCH_UTIL_HH
 #define VOLTBOOT_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "sram/memory_image.hh"
 
@@ -83,6 +87,65 @@ asciiBitmap(const MemoryImage &img, size_t width_bits, size_t max_rows = 16)
     }
     return out;
 }
+
+/** A number in a bench artefact's JSON, fixed at three decimals. */
+inline std::string
+jsonNum(double v)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.3f", v);
+    return buf;
+}
+
+/**
+ * A bench binary's command line: its name and one-line usage text, and
+ * the flag parsers that report a bad value as `<program>: <detail>`
+ * plus the usage line on stderr, then exit 2.
+ */
+struct Usage
+{
+    const char *program;
+    const char *line;
+
+    [[noreturn]] void
+    fatal(const std::string &detail) const
+    {
+        std::cerr << program << ": " << detail << "\n" << line << "\n";
+        std::exit(2);
+    }
+
+    /** @p text as an unsigned integer; the whole string must parse. */
+    uint64_t
+    parseUint(const std::string &flag, const std::string &text) const
+    {
+        uint64_t value = 0;
+        const auto [ptr, ec] = std::from_chars(
+            text.data(), text.data() + text.size(), value);
+        if (ec != std::errc() || ptr != text.data() + text.size() ||
+            text.empty())
+            fatal("malformed value '" + text + "' for " + flag);
+        return value;
+    }
+
+    /** A `--jobs A,B,...` list: every entry an integer >= 1. */
+    std::vector<unsigned>
+    parseJobsList(const std::string &text) const
+    {
+        std::vector<unsigned> jobs;
+        size_t pos = 0;
+        while (pos <= text.size()) {
+            const size_t comma =
+                std::min(text.find(',', pos), text.size());
+            const uint64_t j =
+                parseUint("--jobs", text.substr(pos, comma - pos));
+            if (j == 0)
+                fatal("--jobs entries must be >= 1");
+            jobs.push_back(static_cast<unsigned>(j));
+            pos = comma + 1;
+        }
+        return jobs;
+    }
+};
 
 } // namespace bench
 } // namespace voltboot

@@ -15,7 +15,6 @@
  */
 
 #include <algorithm>
-#include <charconv>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -30,51 +29,9 @@ using namespace voltboot;
 namespace
 {
 
-std::string
-jsonNum(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.3f", v);
-    return buf;
-}
-
-[[noreturn]] void
-usageFatal(const std::string &detail)
-{
-    std::cerr << "campaign_throughput: " << detail << "\n"
-              << "usage: campaign_throughput [--trials N] "
-                 "[--jobs A,B,...]\n";
-    std::exit(2);
-}
-
-uint64_t
-parseUint(const std::string &flag, const std::string &text)
-{
-    uint64_t value = 0;
-    const auto [ptr, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), value);
-    if (ec != std::errc() || ptr != text.data() + text.size() ||
-        text.empty())
-        usageFatal("malformed value '" + text + "' for " + flag);
-    return value;
-}
-
-std::vector<unsigned>
-parseJobsList(const std::string &text)
-{
-    std::vector<unsigned> jobs;
-    size_t pos = 0;
-    while (pos <= text.size()) {
-        const size_t comma = std::min(text.find(',', pos), text.size());
-        const std::string item = text.substr(pos, comma - pos);
-        const uint64_t j = parseUint("--jobs", item);
-        if (j == 0)
-            usageFatal("--jobs entries must be >= 1");
-        jobs.push_back(static_cast<unsigned>(j));
-        pos = comma + 1;
-    }
-    return jobs;
-}
+const bench::Usage kUsage{
+    "campaign_throughput",
+    "usage: campaign_throughput [--trials N] [--jobs A,B,...]"};
 
 } // namespace
 
@@ -87,15 +44,15 @@ main(int argc, char **argv)
         const std::string flag = argv[i];
         auto value = [&]() -> std::string {
             if (i + 1 >= argc)
-                usageFatal("missing value for " + flag);
+                kUsage.fatal("missing value for " + flag);
             return argv[++i];
         };
         if (flag == "--trials")
-            trials = parseUint(flag, value());
+            trials = kUsage.parseUint(flag, value());
         else if (flag == "--jobs")
-            jobs = parseJobsList(value());
+            jobs = kUsage.parseJobsList(value());
         else
-            usageFatal("unknown option " + flag);
+            kUsage.fatal("unknown option " + flag);
     }
 
     bench::banner("P2", "campaign engine throughput (1/4/N threads)");
@@ -151,10 +108,11 @@ main(int argc, char **argv)
                       TextTable::num(speedup, 2) + "x"});
         artefact += "    {\"jobs\": " + std::to_string(jobs[i]) +
                     ", \"wall_seconds\": " +
-                    jsonNum(result.wall_seconds) +
+                    bench::jsonNum(result.wall_seconds) +
                     ", \"trials_per_second\": " +
-                    jsonNum(result.trialsPerSecond()) +
-                    ", \"speedup_vs_serial\": " + jsonNum(speedup) + "}";
+                    bench::jsonNum(result.trialsPerSecond()) +
+                    ", \"speedup_vs_serial\": " + bench::jsonNum(speedup) +
+                    "}";
         artefact += (i + 1 < jobs.size()) ? ",\n" : "\n";
     }
     artefact += "  ]\n}\n";

@@ -16,7 +16,6 @@
  */
 
 #include <algorithm>
-#include <charconv>
 #include <iostream>
 #include <map>
 #include <string>
@@ -32,50 +31,9 @@ using namespace voltboot;
 namespace
 {
 
-std::string
-jsonNum(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.3f", v);
-    return buf;
-}
-
-[[noreturn]] void
-usageFatal(const std::string &detail)
-{
-    std::cerr << "cpa_recovery: " << detail << "\n"
-              << "usage: cpa_recovery [--seeds N] [--jobs A,B,...]\n";
-    std::exit(2);
-}
-
-uint64_t
-parseUint(const std::string &flag, const std::string &text)
-{
-    uint64_t value = 0;
-    const auto [ptr, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), value);
-    if (ec != std::errc() || ptr != text.data() + text.size() ||
-        text.empty())
-        usageFatal("malformed value '" + text + "' for " + flag);
-    return value;
-}
-
-std::vector<unsigned>
-parseJobsList(const std::string &text)
-{
-    std::vector<unsigned> jobs;
-    size_t pos = 0;
-    while (pos <= text.size()) {
-        const size_t comma = std::min(text.find(',', pos), text.size());
-        const uint64_t j =
-            parseUint("--jobs", text.substr(pos, comma - pos));
-        if (j == 0)
-            usageFatal("--jobs entries must be >= 1");
-        jobs.push_back(static_cast<unsigned>(j));
-        pos = comma + 1;
-    }
-    return jobs;
-}
+const bench::Usage kUsage{
+    "cpa_recovery",
+    "usage: cpa_recovery [--seeds N] [--jobs A,B,...]"};
 
 } // namespace
 
@@ -88,15 +46,15 @@ main(int argc, char **argv)
         const std::string flag = argv[i];
         auto value = [&]() -> std::string {
             if (i + 1 >= argc)
-                usageFatal("missing value for " + flag);
+                kUsage.fatal("missing value for " + flag);
             return argv[++i];
         };
         if (flag == "--seeds")
-            seeds = std::max<uint64_t>(1, parseUint(flag, value()));
+            seeds = std::max<uint64_t>(1, kUsage.parseUint(flag, value()));
         else if (flag == "--jobs")
-            jobs = parseJobsList(value());
+            jobs = kUsage.parseJobsList(value());
         else
-            usageFatal("unknown option " + flag);
+            kUsage.fatal("unknown option " + flag);
     }
 
     bench::banner("P7", "CPA key recovery vs correlation window");
@@ -152,9 +110,9 @@ main(int argc, char **argv)
                       std::to_string(cell.first), TextTable::pct(rate)});
         if (!cells_json.empty())
             cells_json += ",\n";
-        cells_json += "    {\"window_ns\": " + jsonNum(window) +
+        cells_json += "    {\"window_ns\": " + bench::jsonNum(window) +
                       ", \"trials\": " + std::to_string(cell.first) +
-                      ", \"key_byte_rate\": " + jsonNum(rate) + "}";
+                      ", \"key_byte_rate\": " + bench::jsonNum(rate) + "}";
     }
     std::cout << table.render();
 
@@ -169,8 +127,8 @@ main(int argc, char **argv)
         "  \"trials\": " + std::to_string(s.coupling_trials) +
         ",\n  \"confident_key_bytes\": " +
         std::to_string(s.cpa_key_bytes) +
-        ",\n  \"nominal_key_byte_rate\": " + jsonNum(nominal_rate) +
-        ",\n  \"trials_per_second\": " + jsonNum(best_tps) +
+        ",\n  \"nominal_key_byte_rate\": " + bench::jsonNum(nominal_rate) +
+        ",\n  \"trials_per_second\": " + bench::jsonNum(best_tps) +
         ",\n  \"cells\": [\n" + cells_json + "\n  ]\n}\n";
     bench::saveArtefact("BENCH_cpa.json", artefact);
 

@@ -15,7 +15,6 @@
  */
 
 #include <algorithm>
-#include <charconv>
 #include <iostream>
 #include <map>
 #include <string>
@@ -31,50 +30,9 @@ using namespace voltboot;
 namespace
 {
 
-std::string
-jsonNum(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.3f", v);
-    return buf;
-}
-
-[[noreturn]] void
-usageFatal(const std::string &detail)
-{
-    std::cerr << "glitch_surface: " << detail << "\n"
-              << "usage: glitch_surface [--seeds N] [--jobs A,B,...]\n";
-    std::exit(2);
-}
-
-uint64_t
-parseUint(const std::string &flag, const std::string &text)
-{
-    uint64_t value = 0;
-    const auto [ptr, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), value);
-    if (ec != std::errc() || ptr != text.data() + text.size() ||
-        text.empty())
-        usageFatal("malformed value '" + text + "' for " + flag);
-    return value;
-}
-
-std::vector<unsigned>
-parseJobsList(const std::string &text)
-{
-    std::vector<unsigned> jobs;
-    size_t pos = 0;
-    while (pos <= text.size()) {
-        const size_t comma = std::min(text.find(',', pos), text.size());
-        const uint64_t j =
-            parseUint("--jobs", text.substr(pos, comma - pos));
-        if (j == 0)
-            usageFatal("--jobs entries must be >= 1");
-        jobs.push_back(static_cast<unsigned>(j));
-        pos = comma + 1;
-    }
-    return jobs;
-}
+const bench::Usage kUsage{
+    "glitch_surface",
+    "usage: glitch_surface [--seeds N] [--jobs A,B,...]"};
 
 } // namespace
 
@@ -87,15 +45,15 @@ main(int argc, char **argv)
         const std::string flag = argv[i];
         auto value = [&]() -> std::string {
             if (i + 1 >= argc)
-                usageFatal("missing value for " + flag);
+                kUsage.fatal("missing value for " + flag);
             return argv[++i];
         };
         if (flag == "--seeds")
-            seeds = std::max<uint64_t>(1, parseUint(flag, value()));
+            seeds = std::max<uint64_t>(1, kUsage.parseUint(flag, value()));
         else if (flag == "--jobs")
-            jobs = parseJobsList(value());
+            jobs = kUsage.parseJobsList(value());
         else
-            usageFatal("unknown option " + flag);
+            kUsage.fatal("unknown option " + flag);
     }
 
     bench::banner("P6", "glitch success-rate surface (offset x depth)");
@@ -153,11 +111,11 @@ main(int argc, char **argv)
                       TextTable::pct(rate)});
         if (!cells_json.empty())
             cells_json += ",\n";
-        cells_json += "    {\"offset_ns\": " + jsonNum(key.first) +
-                      ", \"depth_v\": " + jsonNum(key.second) +
+        cells_json += "    {\"offset_ns\": " + bench::jsonNum(key.first) +
+                      ", \"depth_v\": " + bench::jsonNum(key.second) +
                       ", \"trials\": " + std::to_string(cell.first) +
                       ", \"bypassed\": " + std::to_string(cell.second) +
-                      ", \"rate\": " + jsonNum(rate) + "}";
+                      ", \"rate\": " + bench::jsonNum(rate) + "}";
     }
     std::cout << table.render();
 
@@ -171,7 +129,7 @@ main(int argc, char **argv)
         "{\n  \"bench\": \"glitch_surface\",\n"
         "  \"trials\": " + std::to_string(s.glitch_trials) +
         ",\n  \"bypassed\": " + std::to_string(s.glitch_bypassed) +
-        ",\n  \"trials_per_second\": " + jsonNum(best_tps) +
+        ",\n  \"trials_per_second\": " + bench::jsonNum(best_tps) +
         ",\n  \"cells\": [\n" + cells_json + "\n  ]\n}\n";
     bench::saveArtefact("BENCH_glitch.json", artefact);
 

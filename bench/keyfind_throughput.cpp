@@ -20,9 +20,7 @@
  */
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
-#include <cstdio>
 #include <iostream>
 #include <span>
 #include <string>
@@ -40,50 +38,9 @@ using namespace voltboot;
 namespace
 {
 
-std::string
-jsonNum(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.3f", v);
-    return buf;
-}
-
-[[noreturn]] void
-usageFatal(const std::string &detail)
-{
-    std::cerr << "keyfind_throughput: " << detail << "\n"
-              << "usage: keyfind_throughput [--mib N] [--jobs A,B,...]\n";
-    std::exit(2);
-}
-
-uint64_t
-parseUint(const std::string &flag, const std::string &text)
-{
-    uint64_t value = 0;
-    const auto [ptr, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), value);
-    if (ec != std::errc() || ptr != text.data() + text.size() ||
-        text.empty())
-        usageFatal("malformed value '" + text + "' for " + flag);
-    return value;
-}
-
-std::vector<unsigned>
-parseJobsList(const std::string &text)
-{
-    std::vector<unsigned> jobs;
-    size_t pos = 0;
-    while (pos <= text.size()) {
-        const size_t comma = std::min(text.find(',', pos), text.size());
-        const uint64_t j =
-            parseUint("--jobs", text.substr(pos, comma - pos));
-        if (j == 0)
-            usageFatal("--jobs entries must be >= 1");
-        jobs.push_back(static_cast<unsigned>(j));
-        pos = comma + 1;
-    }
-    return jobs;
-}
+const bench::Usage kUsage{
+    "keyfind_throughput",
+    "usage: keyfind_throughput [--mib N] [--jobs A,B,...]"};
 
 double
 secondsSince(std::chrono::steady_clock::time_point t0)
@@ -129,15 +86,15 @@ main(int argc, char **argv)
         const std::string flag = argv[i];
         auto value = [&]() -> std::string {
             if (i + 1 >= argc)
-                usageFatal("missing value for " + flag);
+                kUsage.fatal("missing value for " + flag);
             return argv[++i];
         };
         if (flag == "--mib")
-            mib = std::max<uint64_t>(1, parseUint(flag, value()));
+            mib = std::max<uint64_t>(1, kUsage.parseUint(flag, value()));
         else if (flag == "--jobs")
-            jobs = parseJobsList(value());
+            jobs = kUsage.parseJobsList(value());
         else
-            usageFatal("unknown option " + flag);
+            kUsage.fatal("unknown option " + flag);
     }
 
     bench::banner("P8", "keyfind scan + correction throughput");
@@ -217,13 +174,13 @@ main(int argc, char **argv)
         if (!cells_json.empty())
             cells_json += ",\n";
         cells_json +=
-            "    {\"ber\": " + jsonNum(ber) +
-            ", \"reference_offsets_per_second\": " + jsonNum(ref_rate) +
-            ", \"batched_offsets_per_second\": " + jsonNum(fast_rate) +
-            ", \"speedup\": " + jsonNum(speedup) +
+            "    {\"ber\": " + bench::jsonNum(ber) +
+            ", \"reference_offsets_per_second\": " + bench::jsonNum(ref_rate) +
+            ", \"batched_offsets_per_second\": " + bench::jsonNum(fast_rate) +
+            ", \"speedup\": " + bench::jsonNum(speedup) +
             ", \"hits\": " + std::to_string(fast_hits.size()) +
             ", \"early_reject_fraction\": " +
-            jsonNum(static_cast<double>(stats.early_rejects) /
+            bench::jsonNum(static_cast<double>(stats.early_rejects) /
                     std::max(offsets, 1.0)) +
             "}";
     }
@@ -269,7 +226,7 @@ main(int argc, char **argv)
             jobs_json += ",\n";
         jobs_json += "    {\"jobs\": " + std::to_string(jobs[ji]) +
                      ", \"pipeline_offsets_per_second\": " +
-                     jsonNum(rate) + "}";
+                     bench::jsonNum(rate) + "}";
     }
     if (jobs_ok)
         std::cout << "full pipeline byte-identical across jobs (";
@@ -329,16 +286,16 @@ main(int argc, char **argv)
         "  \"dump_bytes\": " + std::to_string(bytes) +
         ",\n  \"accelerated\": " +
         (keyfind::scheduleScanAccelerated() ? "true" : "false") +
-        ",\n  \"scan_offsets_per_second\": " + jsonNum(best_batched) +
+        ",\n  \"scan_offsets_per_second\": " + bench::jsonNum(best_batched) +
         ",\n  \"reference_offsets_per_second\": " +
-        jsonNum(best_reference) +
-        ",\n  \"min_scan_speedup\": " + jsonNum(min_speedup) +
+        bench::jsonNum(best_reference) +
+        ",\n  \"min_scan_speedup\": " + bench::jsonNum(min_speedup) +
         ",\n  \"pipeline_offsets_per_second\": " +
-        jsonNum(best_pipeline) +
+        bench::jsonNum(best_pipeline) +
         ",\n  \"corrections_per_second\": " +
-        jsonNum(corrections_per_s[0]) +
+        bench::jsonNum(corrections_per_s[0]) +
         ",\n  \"prior_corrections_per_second\": " +
-        jsonNum(corrections_per_s[1]) +
+        bench::jsonNum(corrections_per_s[1]) +
         ",\n  \"cells\": [\n" + cells_json + "\n  ],\n"
         "  \"jobs\": [\n" + jobs_json + "\n  ]\n}\n";
     bench::saveArtefact("BENCH_keyfind.json", artefact);

@@ -41,7 +41,6 @@
 
 #include <charconv>
 #include <chrono>
-#include <cstdio>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -74,36 +73,11 @@ constexpr size_t kFullReferenceMaxBytes = size_t{1} << 20;
 /** Cells per sampled verification pass. */
 constexpr uint64_t kSampleCells = 4096;
 
-std::string
-jsonNum(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.3f", v);
-    return buf;
-}
-
-[[noreturn]] void
-usageFatal(const std::string &detail)
-{
-    std::cerr << "retention_microbench: " << detail << "\n"
-              << "usage: retention_microbench [--bytes N] [--reps N] "
-                 "[--sizes A,B,...] [--jobs N] [--overhead] "
-                 "[--overhead-rounds N] [--overhead-threshold F] "
-                 "[--smoke]\n";
-    std::exit(2);
-}
-
-uint64_t
-parseUint(const std::string &flag, const std::string &text)
-{
-    uint64_t value = 0;
-    const auto [ptr, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), value);
-    if (ec != std::errc() || ptr != text.data() + text.size() ||
-        text.empty())
-        usageFatal("malformed value '" + text + "' for " + flag);
-    return value;
-}
+const bench::Usage kUsage{
+    "retention_microbench",
+    "usage: retention_microbench [--bytes N] [--reps N] "
+    "[--sizes A,B,...] [--jobs N] [--overhead] [--overhead-rounds N] "
+    "[--overhead-threshold F] [--smoke]"};
 
 double
 parseFraction(const std::string &flag, const std::string &text)
@@ -113,8 +87,8 @@ parseFraction(const std::string &flag, const std::string &text)
         std::from_chars(text.data(), text.data() + text.size(), value);
     if (ec != std::errc() || ptr != text.data() + text.size() ||
         text.empty() || value <= 0.0 || value >= 1.0)
-        usageFatal("malformed fraction '" + text + "' for " + flag +
-                   " (want a value in (0, 1))");
+        kUsage.fatal("malformed fraction '" + text + "' for " + flag +
+                     " (want a value in (0, 1))");
     return value;
 }
 
@@ -128,7 +102,7 @@ parseSizeList(const std::string &flag, const std::string &text)
         const std::string part =
             text.substr(pos, comma == std::string::npos ? std::string::npos
                                                         : comma - pos);
-        sizes.push_back(parseUint(flag, part));
+        sizes.push_back(kUsage.parseUint(flag, part));
         if (comma == std::string::npos)
             break;
         pos = comma + 1;
@@ -288,7 +262,7 @@ runOverheadGuard(size_t bytes, unsigned reps, unsigned rounds,
     std::cout << "array: " << bytes << " bytes, " << reps
               << " reps per round, best of " << rounds
               << " interleaved rounds, threshold "
-              << jsonNum(threshold * 100) << "%\n\n";
+              << bench::jsonNum(threshold * 100) << "%\n\n";
 
     KernelScope scope(RetentionKernel::Fast);
     runScenario("decay_survival", bytes, reps); // warm fingerprint cache
@@ -322,14 +296,14 @@ runOverheadGuard(size_t bytes, unsigned reps, unsigned rounds,
     const bool pass = overhead <= threshold;
 
     TextTable table({"side", "seconds", "cells/s"});
-    table.addRow({"uninstrumented", jsonNum(plain_s),
+    table.addRow({"uninstrumented", bench::jsonNum(plain_s),
                   TextTable::num(plain_cps / 1e6, 1) + "M"});
-    table.addRow({"instrumented", jsonNum(instr_s),
+    table.addRow({"instrumented", bench::jsonNum(instr_s),
                   TextTable::num(instr_cps / 1e6, 1) + "M"});
     std::cout << table.render();
-    std::cout << "overhead: " << jsonNum(overhead * 100) << "% ("
+    std::cout << "overhead: " << bench::jsonNum(overhead * 100) << "% ("
               << (pass ? "PASS" : "FAIL") << ", limit "
-              << jsonNum(threshold * 100) << "%)\n";
+              << bench::jsonNum(threshold * 100) << "%)\n";
 
     std::string artefact =
         "{\n  \"bench\": \"telemetry_overhead\",\n"
@@ -337,12 +311,14 @@ runOverheadGuard(size_t bytes, unsigned reps, unsigned rounds,
         "  \"bytes\": " + std::to_string(bytes) +
         ",\n  \"reps\": " + std::to_string(reps) +
         ",\n  \"rounds\": " + std::to_string(rounds) +
-        ",\n  \"uninstrumented_seconds\": " + jsonNum(plain_s) +
-        ",\n  \"instrumented_seconds\": " + jsonNum(instr_s) +
-        ",\n  \"uninstrumented_cells_per_second\": " + jsonNum(plain_cps) +
-        ",\n  \"instrumented_cells_per_second\": " + jsonNum(instr_cps) +
-        ",\n  \"overhead_fraction\": " + jsonNum(overhead) +
-        ",\n  \"threshold\": " + jsonNum(threshold) +
+        ",\n  \"uninstrumented_seconds\": " + bench::jsonNum(plain_s) +
+        ",\n  \"instrumented_seconds\": " + bench::jsonNum(instr_s) +
+        ",\n  \"uninstrumented_cells_per_second\": " +
+        bench::jsonNum(plain_cps) +
+        ",\n  \"instrumented_cells_per_second\": " +
+        bench::jsonNum(instr_cps) +
+        ",\n  \"overhead_fraction\": " + bench::jsonNum(overhead) +
+        ",\n  \"threshold\": " + bench::jsonNum(threshold) +
         ",\n  \"pass\": " + (pass ? "true" : "false") + "\n}\n";
     bench::saveArtefact("BENCH_overhead.json", artefact);
     return pass ? 0 : 1;
@@ -434,11 +410,12 @@ runPlaneScaling(const std::vector<size_t> &sizes, unsigned reps,
                 artefact +=
                     std::string(first_kernel ? "" : ",\n") +
                     "        {\"kernel\": \"" + toString(kernel) +
-                    "\", \"seconds\": " + jsonNum(run.seconds) +
-                    ", \"cells_per_second\": " + jsonNum(cells_per_sec) +
+                    "\", \"seconds\": " + bench::jsonNum(run.seconds) +
+                    ", \"cells_per_second\": " +
+                    bench::jsonNum(cells_per_sec) +
                     ", \"speedup_vs_reference\": " +
                     (full_ref && kernel != RetentionKernel::Reference
-                         ? jsonNum(speedup)
+                         ? bench::jsonNum(speedup)
                          : std::string("null")) +
                     "}";
                 first_kernel = false;
@@ -497,40 +474,40 @@ main(int argc, char **argv)
         const std::string flag = argv[i];
         auto value = [&]() -> std::string {
             if (i + 1 >= argc)
-                usageFatal("missing value for " + flag);
+                kUsage.fatal("missing value for " + flag);
             return argv[++i];
         };
         if (flag == "--bytes")
-            bytes = parseUint(flag, value());
+            bytes = kUsage.parseUint(flag, value());
         else if (flag == "--reps")
-            reps = static_cast<unsigned>(parseUint(flag, value()));
+            reps = static_cast<unsigned>(kUsage.parseUint(flag, value()));
         else if (flag == "--sizes")
             sizes = parseSizeList(flag, value());
         else if (flag == "--jobs")
-            jobs = static_cast<unsigned>(parseUint(flag, value()));
+            jobs = static_cast<unsigned>(kUsage.parseUint(flag, value()));
         else if (flag == "--overhead")
             overhead = true;
         else if (flag == "--overhead-rounds")
             overhead_rounds =
-                static_cast<unsigned>(parseUint(flag, value()));
+                static_cast<unsigned>(kUsage.parseUint(flag, value()));
         else if (flag == "--overhead-threshold")
             overhead_threshold = parseFraction(flag, value());
         else if (flag == "--smoke") {
             bytes = 16 * 1024;
             reps = 2;
         } else {
-            usageFatal("unknown option " + flag);
+            kUsage.fatal("unknown option " + flag);
         }
     }
     if (bytes == 0 || reps == 0 || jobs == 0)
-        usageFatal("--bytes, --reps and --jobs must be >= 1");
+        kUsage.fatal("--bytes, --reps and --jobs must be >= 1");
     if (overhead_rounds == 0)
-        usageFatal("--overhead-rounds must be >= 1");
+        kUsage.fatal("--overhead-rounds must be >= 1");
     for (size_t s : sizes)
         if (s == 0)
-            usageFatal("--sizes entries must be >= 1");
+            kUsage.fatal("--sizes entries must be >= 1");
     if (overhead && !sizes.empty())
-        usageFatal("--overhead and --sizes are mutually exclusive");
+        kUsage.fatal("--overhead and --sizes are mutually exclusive");
 
     if (overhead)
         return runOverheadGuard(bytes, reps, overhead_rounds,
@@ -590,11 +567,11 @@ main(int argc, char **argv)
                           TextTable::num(speedup, 1) + "x"});
             artefact += std::string(first_kernel ? "" : ",\n") +
                         "      {\"kernel\": \"" + toString(kernel) +
-                        "\", \"seconds\": " + jsonNum(run.seconds) +
+                        "\", \"seconds\": " + bench::jsonNum(run.seconds) +
                         ", \"cells_per_second\": " +
-                        jsonNum(cells_per_sec) +
+                        bench::jsonNum(cells_per_sec) +
                         ", \"speedup_vs_reference\": " +
-                        jsonNum(speedup) + "}";
+                        bench::jsonNum(speedup) + "}";
             first_kernel = false;
         }
         artefact += "\n    ]}";

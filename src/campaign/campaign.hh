@@ -85,7 +85,6 @@ class Campaign
     { return abort_.load(std::memory_order_relaxed); }
 
     const SweepGrid &grid() const { return grid_; }
-    const CampaignConfig &config() const { return config_; }
 
   private:
     SweepGrid grid_;

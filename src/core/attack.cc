@@ -1,6 +1,5 @@
 #include "core/attack.hh"
 
-#include <cmath>
 #include <optional>
 #include <sstream>
 
@@ -10,7 +9,6 @@
 #include "mem/memory_system.hh"
 #include "os/workloads.hh"
 #include "sim/logging.hh"
-#include "trace/trace.hh"
 
 namespace voltboot
 {
@@ -136,18 +134,6 @@ vectorExtractorSource(uint64_t dump_base)
 
 } // namespace
 
-Program
-buildWayExtractor(const Soc &soc, L1Ram ram, size_t way,
-                  uint64_t load_address, uint64_t dump_base)
-{
-    const RamInfo info = ramInfo(soc, ram);
-    const size_t words = info.is_tag ? 1 : info.geom.line_bytes / 8;
-    Program p = Assembler::assemble(wayExtractorSource(
-        info.id, way, info.geom.sets(), words, dump_base));
-    p.load_address = load_address;
-    return p;
-}
-
 VoltBootAttack::VoltBootAttack(Soc &soc, AttackConfig config)
     : soc_(soc), config_(config)
 {
@@ -270,13 +256,26 @@ VoltBootAttack::execute()
 }
 
 MemoryImage
-VoltBootAttack::readDumpFromDram(size_t core, size_t bytes)
+VoltBootAttack::runExtractor(
+    size_t core, const std::function<std::string(uint64_t)> &source,
+    uint64_t max_steps, size_t bytes)
 {
+    if (!booted_)
+        fatal("VoltBootAttack: execute() the power cycle before dumping");
+    const uint64_t load = soc_.config().dram_base + kExtractorOffset;
+    const uint64_t dump = soc_.config().dram_base + kDumpBaseOffset;
+    Program p = Assembler::assemble(source(dump));
+    p.load_address = load;
+    soc_.loadProgram(p);
+    soc_.runCore(core, load, max_steps);
+    if (soc_.cpu(core).fault() != CpuFault::None)
+        fatal("VoltBootAttack: extraction faulted: ",
+              toString(soc_.cpu(core).fault()));
+
     std::vector<uint8_t> out(bytes);
-    const uint64_t base = soc_.config().dram_base + kDumpBaseOffset;
     CorePort &port = soc_.port(core);
     for (size_t i = 0; i < bytes; i += 8) {
-        const uint64_t v = port.read64(base + i);
+        const uint64_t v = port.read64(dump + i);
         for (size_t b = 0; b < 8 && i + b < bytes; ++b)
             out[i + b] = static_cast<uint8_t>(v >> (8 * b));
     }
@@ -286,8 +285,6 @@ VoltBootAttack::readDumpFromDram(size_t core, size_t bytes)
 MemoryImage
 VoltBootAttack::dumpL1Way(size_t core, L1Ram ram, size_t way)
 {
-    if (!booted_)
-        fatal("VoltBootAttack: execute() the power cycle before dumping");
     StepScope step(soc_, telemetry::Counter::StepExtractNs);
     const RamInfo info = ramInfo(soc_, ram);
     step.arg({"what", "l1_way"});
@@ -295,23 +292,22 @@ VoltBootAttack::dumpL1Way(size_t core, L1Ram ram, size_t way)
     step.arg({"ram_id", static_cast<uint64_t>(info.id)});
     step.arg({"way", static_cast<uint64_t>(way)});
 
-    const uint64_t load = soc_.config().dram_base + kExtractorOffset;
-    const uint64_t dump = soc_.config().dram_base + kDumpBaseOffset;
-    const Program extractor = buildWayExtractor(soc_, ram, way, load, dump);
-    soc_.loadProgram(extractor);
-    soc_.runCore(core, load, 50'000'000);
-    if (soc_.cpu(core).fault() != CpuFault::None)
-        fatal("VoltBootAttack: extraction faulted: ",
-              toString(soc_.cpu(core).fault()));
-
+    const size_t words = info.is_tag ? 1 : info.geom.line_bytes / 8;
     const size_t bytes_per_way =
         info.is_tag ? info.geom.sets() * 8
                     : info.geom.sets() * info.geom.line_bytes;
+    MemoryImage img = runExtractor(
+        core,
+        [&](uint64_t dump) {
+            return wayExtractorSource(info.id, way, info.geom.sets(),
+                                      words, dump);
+        },
+        50'000'000, bytes_per_way);
     note("step 4: dumped core " + std::to_string(core) + " RAM " +
          std::to_string(info.id) + " way " + std::to_string(way) + " (" +
          std::to_string(bytes_per_way) + " bytes)");
     step.arg({"bytes", static_cast<uint64_t>(bytes_per_way)});
-    return readDumpFromDram(core, bytes_per_way);
+    return img;
 }
 
 MemoryImage
@@ -329,43 +325,33 @@ VoltBootAttack::dumpL1(size_t core, L1Ram ram)
 MemoryImage
 VoltBootAttack::dumpVectorRegisters(size_t core)
 {
-    if (!booted_)
-        fatal("VoltBootAttack: execute() the power cycle before dumping");
     StepScope step(soc_, telemetry::Counter::StepExtractNs);
     step.arg({"what", "vector_registers"});
     step.arg({"core", static_cast<uint64_t>(core)});
     step.arg({"bytes", static_cast<uint64_t>(32 * 16)});
-    const uint64_t load = soc_.config().dram_base + kExtractorOffset;
-    const uint64_t dump = soc_.config().dram_base + kDumpBaseOffset;
-    Program p = Assembler::assemble(vectorExtractorSource(dump));
-    p.load_address = load;
-    soc_.loadProgram(p);
-    soc_.runCore(core, load, 1'000'000);
+    MemoryImage img =
+        runExtractor(core, vectorExtractorSource, 1'000'000, 32 * 16);
     note("step 4: dumped core " + std::to_string(core) +
          " vector registers (512 bytes)");
-    return readDumpFromDram(core, 32 * 16);
+    return img;
 }
 
 MemoryImage
 VoltBootAttack::dumpDtlb(size_t core)
 {
-    if (!booted_)
-        fatal("VoltBootAttack: execute() the power cycle before dumping");
     StepScope step(soc_, telemetry::Counter::StepExtractNs);
     step.arg({"what", "dtlb"});
     step.arg({"core", static_cast<uint64_t>(core)});
-    const uint64_t load = soc_.config().dram_base + kExtractorOffset;
-    const uint64_t dump = soc_.config().dram_base + kDumpBaseOffset;
     const Tlb &tlb = soc_.dtlb(core);
     std::vector<uint8_t> all;
     for (size_t way = 0; way < tlb.ways(); ++way) {
-        Program p = Assembler::assemble(wayExtractorSource(
-            RamIndexDescriptor::kDTlb, way, tlb.sets(), 2, dump));
-        p.load_address = load;
-        soc_.loadProgram(p);
-        soc_.runCore(core, load, 5'000'000);
-        const MemoryImage img =
-            readDumpFromDram(core, tlb.sets() * 16);
+        const MemoryImage img = runExtractor(
+            core,
+            [&](uint64_t dump) {
+                return wayExtractorSource(RamIndexDescriptor::kDTlb, way,
+                                          tlb.sets(), 2, dump);
+            },
+            5'000'000, tlb.sets() * 16);
         all.insert(all.end(), img.bytes().begin(), img.bytes().end());
     }
     note("step 4: dumped core " + std::to_string(core) + " DTLB (" +
@@ -376,22 +362,20 @@ VoltBootAttack::dumpDtlb(size_t core)
 MemoryImage
 VoltBootAttack::dumpBtb(size_t core)
 {
-    if (!booted_)
-        fatal("VoltBootAttack: execute() the power cycle before dumping");
     StepScope step(soc_, telemetry::Counter::StepExtractNs);
     step.arg({"what", "btb"});
     step.arg({"core", static_cast<uint64_t>(core)});
-    const uint64_t load = soc_.config().dram_base + kExtractorOffset;
-    const uint64_t dump = soc_.config().dram_base + kDumpBaseOffset;
-    const Btb &btb = soc_.btb(core);
-    Program p = Assembler::assemble(unrolledExtractorSource(
-        RamIndexDescriptor::kBtb, btb.entryCount(), 2, dump));
-    p.load_address = load;
-    soc_.loadProgram(p);
-    soc_.runCore(core, load, 10'000'000);
+    const size_t entries = soc_.btb(core).entryCount();
+    MemoryImage img = runExtractor(
+        core,
+        [&](uint64_t dump) {
+            return unrolledExtractorSource(RamIndexDescriptor::kBtb,
+                                           entries, 2, dump);
+        },
+        10'000'000, entries * 16);
     note("step 4: dumped core " + std::to_string(core) + " BTB (" +
-         std::to_string(btb.entryCount() * 16) + " bytes)");
-    return readDumpFromDram(core, btb.entryCount() * 16);
+         std::to_string(entries * 16) + " bytes)");
+    return img;
 }
 
 MemoryImage
@@ -461,64 +445,6 @@ class InjectorGuard
   private:
     Cpu &cpu_;
 };
-
-/**
- * Emit the whole pulse into the trace in one batch: one
- * voltage.<domain> Counter sample per instruction boundary inside the
- * pulse, a guaranteed return-to-nominal sample at pulse end, then the
- * "power" Complete span glitch.pulse bracketing them (children before
- * parents, as the span aggregator expects). Timestamps are assigned
- * manually, so the batch may be emitted at any sim time at or after
- * the pulse end.
- */
-void
-emitPulseTrace(const fault::GlitchWaveform &wave,
-               const std::string &domain, Seconds anchor, Seconds cycle)
-{
-    if (!trace::enabled())
-        return;
-    const std::string counter_name = "voltage." + domain;
-    auto sample = [&](double t_rel, double v) {
-        trace::TraceEvent ev;
-        ev.phase = trace::Phase::Counter;
-        ev.category = "power";
-        ev.name = counter_name;
-        ev.ts = Seconds(anchor.seconds() + t_rel);
-        ev.args.push_back({"v", v});
-        trace::emit(std::move(ev));
-    };
-    const double t0 = wave.start().seconds();
-    const double t3 = wave.end().seconds();
-    const double cyc = cycle.seconds();
-    double last_v = wave.nominal().volts();
-    for (double t = (std::floor(t0 / cyc) + 1.0) * cyc; t < t3;
-         t += cyc) {
-        const double v = wave.at(Seconds(t)).volts();
-        if (v != last_v) {
-            sample(t, v);
-            last_v = v;
-        }
-    }
-    sample(t3, wave.nominal().volts());
-
-    trace::TraceEvent span;
-    span.phase = trace::Phase::Complete;
-    span.category = "power";
-    span.name = "glitch.pulse";
-    span.ts = Seconds(anchor.seconds() + t0);
-    span.dur = wave.params().width;
-    span.args.push_back({"domain", domain});
-    span.args.push_back({"nominal_v", wave.nominal().volts()});
-    span.args.push_back({"depth_v", wave.params().depth.volts()});
-    span.args.push_back({"offset_s", t0});
-    span.args.push_back({"width_s", wave.params().width.seconds()});
-    trace::emit(std::move(span));
-}
-
-} // namespace
-
-namespace
-{
 
 /** Core clock period: one instruction boundary per cycle. */
 constexpr Seconds kGlitchCycle = Seconds::nanoseconds(1.0);
@@ -605,7 +531,8 @@ GlitchAttack::execute()
         // once the clock passes the pulse, its trace can be emitted
         // (all batch timestamps are then in the past).
         if (live && !pulse_traced && steps * cyc >= pulse_end) {
-            emitPulseTrace(wave, domain.name, anchor, kGlitchCycle);
+            fault::emitExcursionTrace(wave, domain.name, anchor,
+                                      kGlitchCycle, "glitch.pulse");
             pulse_traced = true;
         }
         bool more;
@@ -637,7 +564,8 @@ GlitchAttack::execute()
             anchor.seconds() + pulse_end + cyc - now.seconds();
         if (past_end > 0.0)
             soc_.advanceTime(Seconds(past_end));
-        emitPulseTrace(wave, domain.name, anchor, kGlitchCycle);
+        fault::emitExcursionTrace(wave, domain.name, anchor,
+                                      kGlitchCycle, "glitch.pulse");
     }
 
     out.steps = steps;

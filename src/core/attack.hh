@@ -33,6 +33,7 @@
 #define VOLTBOOT_CORE_ATTACK_HH
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -125,10 +126,16 @@ class VoltBootAttack
      * object. */
     bool bootAttackerCode();
 
-    const AttackConfig &config() const { return config_; }
-
   private:
-    MemoryImage readDumpFromDram(size_t core, size_t bytes);
+    /** Step 4's program-driven dump: assemble @p source(dump base) at
+     * the extractor address, run it on @p core for at most
+     * @p max_steps, and read @p bytes back from the dump region.
+     * fatal() before the power cycle has booted attacker code, or if
+     * the program faults. */
+    MemoryImage
+    runExtractor(size_t core,
+                 const std::function<std::string(uint64_t)> &source,
+                 uint64_t max_steps, size_t bytes);
     void note(std::string line);
 
     Soc &soc_;
@@ -162,10 +169,6 @@ class ColdBootAttack
     Seconds off_time_;
     VoltBootAttack extractor_; ///< Reuses the extraction machinery.
 };
-
-/** The attacker's RAMINDEX extraction program for one L1 way. */
-Program buildWayExtractor(const Soc &soc, L1Ram ram, size_t way,
-                          uint64_t load_address, uint64_t dump_base);
 
 /**
  * Glitcher bench settings: the crowbar pulse and the fault-stream
@@ -223,8 +226,6 @@ class GlitchAttack
 
     /** The exact victim source of the last execute() (ground truth). */
     const std::string &victimSource() const { return victim_source_; }
-
-    const GlitchConfig &config() const { return config_; }
 
   private:
     Soc &soc_;

@@ -174,8 +174,6 @@ class KeyCorrector
     static double firstRoundMismatch(std::span<const uint8_t> window,
                                      size_t key_bytes);
 
-    const KeyCorrectorConfig &config() const { return config_; }
-
   private:
     KeyCorrectorConfig config_;
 };

@@ -31,6 +31,8 @@
 #ifndef VOLTBOOT_FAULT_GLITCH_HH
 #define VOLTBOOT_FAULT_GLITCH_HH
 
+#include <string>
+
 #include "sim/units.hh"
 
 namespace voltboot
@@ -93,6 +95,21 @@ class GlitchWaveform
     Seconds edge_{0.0};
     Volt floor_{0.0};
 };
+
+/**
+ * Emit one bounded rail excursion into the trace in one batch: a
+ * voltage.<domain> Counter sample at each @p cycle boundary inside the
+ * waveform where the value changes, a return-to-nominal sample at its
+ * end, then the "power" Complete span @p span_name ("glitch.pulse",
+ * "undervolt.hold") with args domain, nominal_v, depth_v, offset_s and
+ * width_s, bracketing them (children before parents, as the span
+ * aggregator expects). Waveform times are relative to @p anchor and
+ * every timestamp is assigned here, so the batch may be emitted at any
+ * sim time at or after the waveform's end. No-op when tracing is off.
+ */
+void emitExcursionTrace(const GlitchWaveform &wave,
+                        const std::string &domain, Seconds anchor,
+                        Seconds cycle, const char *span_name);
 
 } // namespace fault
 } // namespace voltboot

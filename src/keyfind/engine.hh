@@ -137,8 +137,6 @@ class KeyRecoveryEngine
                            std::span<const float> cell_flip_priors = {})
         const;
 
-    const KeyRecoveryConfig &config() const { return config_; }
-
   private:
     RecoveryReport
     recoverImage(const MemoryImage &image,

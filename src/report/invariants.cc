@@ -1,7 +1,6 @@
 #include "report/invariants.hh"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <map>
 #include <optional>
@@ -17,43 +16,6 @@ namespace
 /** Slack for comparing simulation times / voltages that went through a
  * serialize-parse cycle. Well below any physical scale in the model. */
 constexpr double kEps = 1e-9;
-
-constexpr const char *kVoltagePrefix = "voltage.";
-
-std::optional<double>
-argNumber(const trace::TraceEvent &ev, const char *key)
-{
-    for (const trace::Arg &arg : ev.args) {
-        if (arg.key != key)
-            continue;
-        double v = 0.0;
-        const auto [ptr, ec] = std::from_chars(
-            arg.json.data(), arg.json.data() + arg.json.size(), v);
-        if (ec == std::errc() && ptr == arg.json.data() + arg.json.size())
-            return v;
-        return std::nullopt; // null (nan/inf) or non-numeric.
-    }
-    return std::nullopt;
-}
-
-/** Unquote a string-valued argument rendered by trace::jsonQuote.
- * Returns the raw JSON (with quotes) unchanged if not a string — only
- * used for comparisons against known unescaped names, where that can
- * never produce a false match. */
-std::string
-argString(const trace::TraceEvent &ev, const char *key)
-{
-    for (const trace::Arg &arg : ev.args) {
-        if (arg.key != key)
-            continue;
-        const std::string &j = arg.json;
-        if (j.size() >= 2 && j.front() == '"' && j.back() == '"' &&
-            j.find('\\') == std::string::npos)
-            return j.substr(1, j.size() - 2);
-        return j;
-    }
-    return {};
-}
 
 std::string
 eventLabel(const trace::TraceEvent &ev)
@@ -143,7 +105,7 @@ checkVoltages(std::span<const trace::TraceEvent> events,
                                  "supply_v"};
     for (size_t i = 0; i < events.size(); ++i) {
         for (const char *key : keys) {
-            const auto v = argNumber(events[i], key);
+            const auto v = trace::argNumber(events[i], key);
             if (v && *v < -kEps)
                 out.push_back({"nonnegative_voltage", i,
                                eventLabel(events[i]) + " arg \"" + key +
@@ -162,7 +124,8 @@ checkProbeHold(std::span<const trace::TraceEvent> events,
         const trace::TraceEvent &ev = events[i];
         const std::string cat = ev.category;
         if (cat == "power" && ev.phase == trace::Phase::Instant) {
-            const std::string domain = argString(ev, "domain");
+            const std::string domain =
+                trace::argString(ev, "domain").value_or("");
             ProbeState &st = domains[domain];
             if (ev.name == "probe_attach") {
                 st.probed = true;
@@ -174,8 +137,8 @@ checkProbeHold(std::span<const trace::TraceEvent> events,
                 // Main supply back: the probe floor no longer binds.
                 st.hold_v.reset();
             } else if (ev.name == "probe_transient" && st.probed) {
-                const auto v_min = argNumber(ev, "v_min");
-                const auto v_settled = argNumber(ev, "v_settled");
+                const auto v_min = trace::argNumber(ev, "v_min");
+                const auto v_settled = trace::argNumber(ev, "v_settled");
                 if (v_min && v_settled && *v_settled < *v_min - kEps)
                     out.push_back(
                         {"probe_hold", i,
@@ -188,19 +151,19 @@ checkProbeHold(std::span<const trace::TraceEvent> events,
             }
             continue;
         }
-        if (ev.phase == trace::Phase::Counter &&
-            ev.name.rfind(kVoltagePrefix, 0) == 0) {
-            const std::string domain =
-                ev.name.substr(std::string(kVoltagePrefix).size());
-            const auto it = domains.find(domain);
+        const auto domain = ev.phase == trace::Phase::Counter
+                                ? trace::voltageDomain(ev.name)
+                                : std::nullopt;
+        if (domain) {
+            const auto it = domains.find(std::string(*domain));
             if (it == domains.end() || !it->second.probed ||
                 !it->second.hold_v)
                 continue;
-            const auto v = argNumber(ev, "v");
+            const auto v = trace::argNumber(ev, "v");
             if (v && *v < *it->second.hold_v - kEps)
                 out.push_back(
                     {"probe_hold", i,
-                     "probe-held domain " + domain + " sampled at " +
+                     "probe-held domain " + it->first + " sampled at " +
                          std::to_string(*v) +
                          " V, below the hold floor of " +
                          std::to_string(*it->second.hold_v) + " V"});
@@ -244,131 +207,61 @@ checkAttackStepOrder(std::span<const trace::TraceEvent> events,
     }
 }
 
-/**
- * Every "power"/"glitch.pulse" span promises a bounded excursion: all
- * voltage.<domain> samples inside the span stay within
- * [nominal - depth, nominal], and the last sample in the window is back
- * at nominal (the rail recovers before the span ends). A pulse span
- * with no samples at all is also a violation — the waveform was claimed
- * but never observed.
- */
-void
-checkGlitchBounds(std::span<const trace::TraceEvent> events,
-                  std::vector<Violation> &out)
+/** A "power" span that promises a bounded rail excursion, and the arg
+ * that sets how far below nominal its rail may go. */
+struct ExcursionSpan
 {
-    for (size_t i = 0; i < events.size(); ++i) {
-        const trace::TraceEvent &ev = events[i];
-        if (ev.phase != trace::Phase::Complete ||
-            std::string(ev.category) != "power" ||
-            ev.name != "glitch.pulse")
-            continue;
-        const std::string domain = argString(ev, "domain");
-        const auto nominal = argNumber(ev, "nominal_v");
-        const auto depth = argNumber(ev, "depth_v");
-        if (domain.empty() || !nominal || !depth) {
-            out.push_back({"glitch_bounds", i,
-                           "glitch.pulse span lacks domain/nominal_v/"
-                           "depth_v args"});
-            continue;
-        }
-        const double start = ev.ts.seconds();
-        const double end = start + ev.dur.seconds();
-        const double floor =
-            std::max(*nominal - *depth, 0.0) - kEps;
-        const std::string counter =
-            std::string(kVoltagePrefix) + domain;
-        size_t samples = 0;
-        std::optional<double> last_v;
-        // The pulse span is emitted after its samples (children first),
-        // so every sample it covers precedes it in the stream.
-        for (size_t j = 0; j < i; ++j) {
-            const trace::TraceEvent &s = events[j];
-            if (s.phase != trace::Phase::Counter || s.name != counter)
-                continue;
-            const double at = s.ts.seconds();
-            if (at < start - kEps || at > end + kEps)
-                continue;
-            const auto v = argNumber(s, "v");
-            if (!v)
-                continue;
-            ++samples;
-            last_v = *v;
-            if (*v < floor)
-                out.push_back(
-                    {"glitch_bounds", j,
-                     "voltage." + domain + " sampled at " +
-                         std::to_string(*v) +
-                         " V inside a glitch pulse of depth " +
-                         std::to_string(*depth) + " V (floor " +
-                         std::to_string(std::max(*nominal - *depth,
-                                                 0.0)) +
-                         " V)"});
-            if (*v > *nominal + kEps)
-                out.push_back(
-                    {"glitch_bounds", j,
-                     "voltage." + domain + " sampled at " +
-                         std::to_string(*v) +
-                         " V, above nominal " +
-                         std::to_string(*nominal) +
-                         " V inside a glitch pulse"});
-        }
-        if (samples == 0) {
-            out.push_back({"glitch_bounds", i,
-                           "glitch.pulse span on " + domain +
-                               " covers no voltage samples"});
-            continue;
-        }
-        if (last_v && std::abs(*last_v - *nominal) > kEps)
-            out.push_back(
-                {"glitch_bounds", i,
-                 "voltage." + domain + " ends a glitch pulse at " +
-                     std::to_string(*last_v) +
-                     " V instead of recovering to nominal " +
-                     std::to_string(*nominal) + " V"});
-    }
-}
+    const char *span;
+    const char *floor_arg;
+    const char *invariant;
+};
+
+constexpr ExcursionSpan kExcursionSpans[] = {
+    {"glitch.pulse", "depth_v", "glitch_bounds"},
+    {"undervolt.hold", "depth_v", "sidechannel_bounds"},
+    {"coupling.capture", "dip_bound_v", "sidechannel_bounds"},
+};
 
 /**
- * The static-undervolt and coupling-capture spans make the same
- * bounded-excursion promise as glitch.pulse, with the floor named
- * differently: "undervolt.hold" sags by depth_v below nominal,
- * "coupling.capture" bounds its worst per-byte dip as dip_bound_v.
- * Samples covered by either span must stay within [floor, nominal]
- * and the last one must be back at nominal.
+ * Every kExcursionSpans span promises a bounded excursion: all
+ * voltage.<domain> samples inside the span stay within
+ * [nominal - floor arg, nominal], and the last sample in the window is
+ * back at nominal (the rail recovers before the span ends). A span with
+ * no samples at all is also a violation: the waveform was claimed but
+ * never observed.
  */
 void
-checkSidechannelBounds(std::span<const trace::TraceEvent> events,
-                       std::vector<Violation> &out)
+checkExcursionBounds(std::span<const trace::TraceEvent> events,
+                     std::vector<Violation> &out)
 {
     for (size_t i = 0; i < events.size(); ++i) {
         const trace::TraceEvent &ev = events[i];
         if (ev.phase != trace::Phase::Complete ||
             std::string(ev.category) != "power")
             continue;
-        const bool hold = ev.name == "undervolt.hold";
-        const bool capture = ev.name == "coupling.capture";
-        if (!hold && !capture)
+        const auto row = std::find_if(
+            std::begin(kExcursionSpans), std::end(kExcursionSpans),
+            [&](const ExcursionSpan &r) { return ev.name == r.span; });
+        if (row == std::end(kExcursionSpans))
             continue;
-        const char *depth_key = hold ? "depth_v" : "dip_bound_v";
-        const std::string domain = argString(ev, "domain");
-        const auto nominal = argNumber(ev, "nominal_v");
-        const auto depth = argNumber(ev, depth_key);
-        if (domain.empty() || !nominal || !depth) {
-            out.push_back({"sidechannel_bounds", i,
+        const char *invariant = row->invariant;
+        const auto domain = trace::argString(ev, "domain");
+        const auto nominal = trace::argNumber(ev, "nominal_v");
+        const auto depth = trace::argNumber(ev, row->floor_arg);
+        if (!domain || domain->empty() || !nominal || !depth) {
+            out.push_back({invariant, i,
                            ev.name + " span lacks domain/nominal_v/" +
-                               depth_key + " args"});
+                               row->floor_arg + " args"});
             continue;
         }
         const double start = ev.ts.seconds();
         const double end = start + ev.dur.seconds();
-        const double floor =
-            std::max(*nominal - *depth, 0.0) - kEps;
-        const std::string counter =
-            std::string(kVoltagePrefix) + domain;
+        const double floor_v = std::max(*nominal - *depth, 0.0);
+        const std::string counter = trace::voltageCounter(*domain);
         size_t samples = 0;
         std::optional<double> last_v;
-        // Both spans are emitted after their samples (children first),
-        // so every sample they cover precedes them in the stream.
+        // The span is emitted after its samples (children first), so
+        // every sample it covers precedes it in the stream.
         for (size_t j = 0; j < i; ++j) {
             const trace::TraceEvent &s = events[j];
             if (s.phase != trace::Phase::Counter || s.name != counter)
@@ -376,42 +269,37 @@ checkSidechannelBounds(std::span<const trace::TraceEvent> events,
             const double at = s.ts.seconds();
             if (at < start - kEps || at > end + kEps)
                 continue;
-            const auto v = argNumber(s, "v");
+            const auto v = trace::argNumber(s, "v");
             if (!v)
                 continue;
             ++samples;
             last_v = *v;
-            if (*v < floor)
-                out.push_back(
-                    {"sidechannel_bounds", j,
-                     "voltage." + domain + " sampled at " +
-                         std::to_string(*v) + " V inside a " + ev.name +
-                         " span bounded at " +
-                         std::to_string(std::max(*nominal - *depth,
-                                                 0.0)) +
-                         " V"});
+            if (*v < floor_v - kEps)
+                out.push_back({invariant, j,
+                               counter + " sampled at " +
+                                   std::to_string(*v) + " V inside a " +
+                                   ev.name + " span bounded at " +
+                                   std::to_string(floor_v) + " V"});
             if (*v > *nominal + kEps)
-                out.push_back(
-                    {"sidechannel_bounds", j,
-                     "voltage." + domain + " sampled at " +
-                         std::to_string(*v) +
-                         " V, above nominal " +
-                         std::to_string(*nominal) + " V inside a " +
-                         ev.name + " span"});
+                out.push_back({invariant, j,
+                               counter + " sampled at " +
+                                   std::to_string(*v) +
+                                   " V, above nominal " +
+                                   std::to_string(*nominal) +
+                                   " V inside a " + ev.name + " span"});
         }
         if (samples == 0) {
-            out.push_back({"sidechannel_bounds", i,
-                           ev.name + " span on " + domain +
+            out.push_back({invariant, i,
+                           ev.name + " span on " + *domain +
                                " covers no voltage samples"});
             continue;
         }
-        if (last_v && std::abs(*last_v - *nominal) > kEps)
-            out.push_back(
-                {"sidechannel_bounds", i,
-                 "voltage." + domain + " ends a " + ev.name +
-                     " span at " + std::to_string(*last_v) +
-                     " V instead of recovering to nominal " +
-                     std::to_string(*nominal) + " V"});
+        if (std::abs(*last_v - *nominal) > kEps)
+            out.push_back({invariant, i,
+                           counter + " ends a " + ev.name + " span at " +
+                               std::to_string(*last_v) +
+                               " V instead of recovering to nominal " +
+                               std::to_string(*nominal) + " V"});
     }
 }
 
@@ -426,8 +314,7 @@ checkTraceInvariants(std::span<const trace::TraceEvent> events)
     checkVoltages(events, out);
     checkProbeHold(events, out);
     checkAttackStepOrder(events, out);
-    checkGlitchBounds(events, out);
-    checkSidechannelBounds(events, out);
+    checkExcursionBounds(events, out);
     return out;
 }
 

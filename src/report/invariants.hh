@@ -32,17 +32,17 @@
  *    paper's four-step order (steps 1–2 probe, step 3 power cycle,
  *    step 4 extract); a later step never precedes an earlier one
  *    except where a fresh attack run restarts the sequence.
- *  - `glitch_bounds` — every `power`/`glitch.pulse` span covers at
- *    least one `voltage.<domain>` sample, all covered samples stay
- *    within `[nominal - depth, nominal]`, and the last covered sample
- *    has recovered to nominal before the span ends.
- *  - `sidechannel_bounds` — same bounded-excursion contract for the
- *    static-undervolt and coupling-capture spans: every
- *    `power`/`undervolt.hold` span (floor `nominal - depth_v`) and
- *    `power`/`coupling.capture` span (floor `nominal - dip_bound_v`)
- *    covers at least one `voltage.<domain>` sample, all covered
- *    samples stay within `[floor, nominal]`, and the last covered
- *    sample has recovered to nominal.
+ *  - `glitch_bounds` and `sidechannel_bounds` — one bounded-excursion
+ *    audit, driven by a three-row table of span, floor arg and
+ *    invariant name: `power`/`glitch.pulse` (floor
+ *    `nominal - depth_v`, `glitch_bounds`), `power`/`undervolt.hold`
+ *    (floor `nominal - depth_v`, `sidechannel_bounds`) and
+ *    `power`/`coupling.capture` (floor `nominal - dip_bound_v`,
+ *    `sidechannel_bounds`). Each such span carries its `domain`,
+ *    `nominal_v` and floor args, covers at least one
+ *    `voltage.<domain>` sample, keeps every covered sample within
+ *    `[floor, nominal]`, and its last covered sample has recovered to
+ *    nominal before the span ends.
  */
 
 #ifndef VOLTBOOT_REPORT_INVARIANTS_HH

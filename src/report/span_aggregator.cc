@@ -1,7 +1,6 @@
 #include "report/span_aggregator.hh"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 
 namespace voltboot
@@ -11,18 +10,6 @@ namespace report
 
 namespace
 {
-
-constexpr const char *kVoltagePrefix = "voltage.";
-
-/** Parse a rendered JSON number argument; false for null/non-numbers. */
-bool
-argNumber(const trace::Arg &arg, double *out)
-{
-    const std::string &j = arg.json;
-    const auto [ptr, ec] =
-        std::from_chars(j.data(), j.data() + j.size(), *out);
-    return ec == std::errc() && ptr == j.data() + j.size();
-}
 
 std::string
 fmtUs(double seconds)
@@ -74,18 +61,19 @@ SpanAggregate::build(std::span<const trace::TraceEvent> events)
         if (ev.phase != trace::Phase::Complete) {
             ++agg.event_counts_[key];
             if (ev.phase == trace::Phase::Counter) {
-                double v = 0.0;
-                for (const trace::Arg &arg : ev.args)
-                    if (arg.key == "v" && argNumber(arg, &v)) {
-                        agg.counter_tracks_[key].push_back(
-                            {ev.ts.seconds(), v});
-                        if (ev.name.rfind(kVoltagePrefix, 0) == 0)
-                            agg.waveforms_[ev.name.substr(
-                                               std::string(
-                                                   kVoltagePrefix)
-                                                   .size())]
-                                .push_back({ev.ts.seconds(), v});
-                    }
+                for (const trace::Arg &arg : ev.args) {
+                    if (arg.key != "v")
+                        continue;
+                    const std::optional<double> v =
+                        trace::readNumber(arg.json);
+                    if (!v)
+                        continue;
+                    agg.counter_tracks_[key].push_back(
+                        {ev.ts.seconds(), *v});
+                    if (const auto domain = trace::voltageDomain(ev.name))
+                        agg.waveforms_[std::string(*domain)].push_back(
+                            {ev.ts.seconds(), *v});
+                }
             }
             continue;
         }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <sstream>
 
 #include "crypto/aes.hh"
@@ -70,37 +69,6 @@ hexDecode(const std::string &hex, std::array<uint8_t, 16> *out)
     return true;
 }
 
-/** Arg values arrive pre-rendered as JSON; undo the two shapes the
- * analyzer consumes (plain strings without escapes, and numbers). */
-bool
-argString(const trace::TraceEvent &ev, const char *key, std::string *out)
-{
-    for (const trace::Arg &a : ev.args) {
-        if (a.key == key && a.json.size() >= 2 && a.json.front() == '"' &&
-            a.json.back() == '"') {
-            *out = a.json.substr(1, a.json.size() - 2);
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-argNumber(const trace::TraceEvent &ev, const char *key, double *out)
-{
-    for (const trace::Arg &a : ev.args) {
-        if (a.key == key) {
-            char *end = nullptr;
-            const double v = std::strtod(a.json.c_str(), &end);
-            if (end == a.json.c_str())
-                return false;
-            *out = v;
-            return true;
-        }
-    }
-    return false;
-}
-
 } // namespace
 
 CouplingRun
@@ -111,20 +79,14 @@ runCoupledAesVictim(const CouplingVictimConfig &config)
         return run;
 
     const std::array<uint8_t, 256> &sbox = Aes::sbox();
-    const std::string counter_name = "voltage." + config.domain;
+    const std::string counter_name = trace::voltageCounter(config.domain);
     const double cyc = kCycle.seconds();
     const double start = kStart.seconds();
     const double block_period =
         (16.0 + static_cast<double>(kGapCycles)) * cyc;
 
     auto sample = [&](double t, double v) {
-        trace::TraceEvent ev;
-        ev.phase = trace::Phase::Counter;
-        ev.category = "power";
-        ev.name = counter_name;
-        ev.ts = Seconds(t);
-        ev.args.push_back({"v", v});
-        trace::emit(std::move(ev));
+        trace::counterAt("power", counter_name, Seconds(t), v);
         run.end = Seconds(t);
     };
 
@@ -196,22 +158,26 @@ analyzeCoupling(const std::vector<trace::TraceEvent> &events,
         // Auto-detect: prefer the capture span's own domain arg, fall
         // back to the first voltage counter in the trace.
         for (const trace::TraceEvent &ev : events) {
-            if (ev.phase == trace::Phase::Complete &&
-                ev.name == "coupling.capture" &&
-                argString(ev, "domain", &domain))
+            if (ev.phase != trace::Phase::Complete ||
+                ev.name != "coupling.capture")
+                continue;
+            if (auto d = trace::argString(ev, "domain")) {
+                domain = std::move(*d);
                 break;
+            }
         }
         if (domain.empty()) {
             for (const trace::TraceEvent &ev : events) {
-                if (ev.phase == trace::Phase::Counter &&
-                    ev.name.rfind("voltage.", 0) == 0) {
-                    domain = ev.name.substr(8);
+                if (ev.phase != trace::Phase::Counter)
+                    continue;
+                if (auto d = trace::voltageDomain(ev.name)) {
+                    domain = *d;
                     break;
                 }
             }
         }
     }
-    const std::string counter_name = "voltage." + domain;
+    const std::string counter_name = trace::voltageCounter(domain);
 
     // Gather per-block plaintexts and their sample vectors, in trace
     // order: each rail sample belongs to the most recent aes.block.
@@ -220,23 +186,24 @@ analyzeCoupling(const std::vector<trace::TraceEvent> &events,
     std::vector<double> block_ts;
     for (const trace::TraceEvent &ev : events) {
         if (ev.phase == trace::Phase::Instant && ev.name == "aes.block") {
-            std::string hex;
+            const std::optional<std::string> hex =
+                trace::argString(ev, "pt");
             std::array<uint8_t, 16> pt;
-            if (!argString(ev, "pt", &hex) || !hexDecode(hex, &pt))
+            if (!hex || !hexDecode(*hex, &pt))
                 continue;
             pts.push_back(pt);
             samples.emplace_back();
             block_ts.push_back(ev.ts.seconds());
         } else if (ev.phase == trace::Phase::Counter &&
                    ev.name == counter_name && !pts.empty()) {
-            double v = 0.0;
-            if (!argNumber(ev, "v", &v))
+            const std::optional<double> v = trace::argNumber(ev, "v");
+            if (!v)
                 continue;
             if (opts.window_ns > 0.0 &&
                 (ev.ts.seconds() - block_ts.back()) * 1e9 >=
                     opts.window_ns)
                 continue;
-            samples.back().push_back(v);
+            samples.back().push_back(*v);
         }
     }
 

@@ -9,7 +9,6 @@
 #include "mem/memory_system.hh"
 #include "os/workloads.hh"
 #include "sim/logging.hh"
-#include "trace/trace.hh"
 
 namespace voltboot
 {
@@ -77,59 +76,6 @@ class GateGuard
   private:
     Cpu &cpu_;
 };
-
-/**
- * Emit the whole undervolt ramp into the trace in one batch: one
- * voltage.<domain> Counter sample per cycle boundary where the value
- * changes, a guaranteed return-to-nominal sample at ramp end, then the
- * "power" Complete span undervolt.hold bracketing them (children before
- * parents, as the span aggregator expects). Timestamps are assigned
- * manually, so the batch may be emitted at any sim time at or after
- * the ramp end.
- */
-void
-emitHoldTrace(const fault::GlitchWaveform &wave, const std::string &domain,
-              Seconds anchor, Seconds cycle)
-{
-    if (!trace::enabled())
-        return;
-    const std::string counter_name = "voltage." + domain;
-    auto sample = [&](double t_rel, double v) {
-        trace::TraceEvent ev;
-        ev.phase = trace::Phase::Counter;
-        ev.category = "power";
-        ev.name = counter_name;
-        ev.ts = Seconds(anchor.seconds() + t_rel);
-        ev.args.push_back({"v", v});
-        trace::emit(std::move(ev));
-    };
-    const double t0 = wave.start().seconds();
-    const double t3 = wave.end().seconds();
-    const double cyc = cycle.seconds();
-    double last_v = wave.nominal().volts();
-    for (double t = (std::floor(t0 / cyc) + 1.0) * cyc; t < t3;
-         t += cyc) {
-        const double v = wave.at(Seconds(t)).volts();
-        if (v != last_v) {
-            sample(t, v);
-            last_v = v;
-        }
-    }
-    sample(t3, wave.nominal().volts());
-
-    trace::TraceEvent span;
-    span.phase = trace::Phase::Complete;
-    span.category = "power";
-    span.name = "undervolt.hold";
-    span.ts = Seconds(anchor.seconds() + t0);
-    span.dur = wave.params().width;
-    span.args.push_back({"domain", domain});
-    span.args.push_back({"nominal_v", wave.nominal().volts()});
-    span.args.push_back({"depth_v", wave.params().depth.volts()});
-    span.args.push_back({"offset_s", t0});
-    span.args.push_back({"width_s", wave.params().width.seconds()});
-    trace::emit(std::move(span));
-}
 
 } // namespace
 
@@ -297,7 +243,8 @@ StaticExtractAttack::execute()
 
     // Phase C: record the ramp, apply the retention physics, read out.
     if (live) {
-        emitHoldTrace(wave, domain.name, anchor, kCycle);
+        fault::emitExcursionTrace(wave, domain.name, anchor, kCycle,
+                                  "undervolt.hold");
         if (PowerDomain *pd = soc_.board().pmic().domain(domain.name)) {
             for (MemoryArray *load : pd->loads()) {
                 load->droopTo(wave.floor());

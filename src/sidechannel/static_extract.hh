@@ -122,8 +122,6 @@ class StaticExtractAttack
     /** Power domain the configured target's arrays draw from. */
     const DomainSpec &targetDomain() const;
 
-    const StaticExtractConfig &config() const { return config_; }
-
   private:
     Soc &soc_;
     StaticExtractConfig config_;

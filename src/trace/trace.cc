@@ -48,6 +48,74 @@ jsonQuote(const std::string &s)
     return out;
 }
 
+std::optional<double>
+readNumber(std::string_view json)
+{
+    double v = 0.0;
+    const char *end = json.data() + json.size();
+    const auto [ptr, ec] = std::from_chars(json.data(), end, v);
+    if (ec != std::errc() || ptr != end)
+        return std::nullopt;
+    return v;
+}
+
+std::optional<std::string>
+readString(std::string_view json)
+{
+    if (json.size() < 2 || json.front() != '"' || json.back() != '"')
+        return std::nullopt;
+    const std::string_view body = json.substr(1, json.size() - 2);
+    if (body.find('\\') != std::string_view::npos)
+        return std::nullopt;
+    return std::string(body);
+}
+
+namespace
+{
+
+const Arg *
+findArg(const TraceEvent &ev, std::string_view key)
+{
+    for (const Arg &arg : ev.args)
+        if (arg.key == key)
+            return &arg;
+    return nullptr;
+}
+
+constexpr std::string_view kVoltagePrefix = "voltage.";
+
+} // namespace
+
+std::optional<double>
+argNumber(const TraceEvent &ev, std::string_view key)
+{
+    const Arg *arg = findArg(ev, key);
+    return arg ? readNumber(arg->json) : std::nullopt;
+}
+
+std::optional<std::string>
+argString(const TraceEvent &ev, std::string_view key)
+{
+    const Arg *arg = findArg(ev, key);
+    return arg ? readString(arg->json) : std::nullopt;
+}
+
+std::string
+voltageCounter(std::string_view domain)
+{
+    std::string name(kVoltagePrefix);
+    name += domain;
+    return name;
+}
+
+std::optional<std::string_view>
+voltageDomain(std::string_view name)
+{
+    if (!name.starts_with(kVoltagePrefix))
+        return std::nullopt;
+    return name.substr(kVoltagePrefix.size());
+}
+
 const char *
 phaseLetter(Phase phase)
 {
@@ -247,13 +315,19 @@ instant(const char *category, std::string name, std::vector<Arg> args)
 void
 counter(const char *category, std::string name, double value)
 {
+    counterAt(category, std::move(name), simTime(), value);
+}
+
+void
+counterAt(const char *category, std::string name, Seconds ts, double value)
+{
     if (!enabled())
         return;
     TraceEvent ev;
     ev.phase = Phase::Counter;
     ev.category = category;
     ev.name = std::move(name);
-    ev.ts = simTime();
+    ev.ts = ts;
     ev.args.emplace_back("v", value);
     emit(std::move(ev));
 }

@@ -39,8 +39,10 @@
 #define VOLTBOOT_TRACE_TRACE_HH
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -89,6 +91,20 @@ struct Arg
     }
 };
 
+/** @name Reading rendered args back
+ *
+ * The one reader of an Arg::json value, for every consumer of a trace
+ * (the invariant audit, the span aggregator, the coupling analyzer).
+ */
+///@{
+/** The number @p json holds; the whole token must parse, so `null`,
+ * strings and prefixes such as `0.8x` give nullopt. */
+std::optional<double> readNumber(std::string_view json);
+/** The text of a quoted string without escapes; nullopt for anything
+ * else (numbers, `null`, strings that carry a backslash). */
+std::optional<std::string> readString(std::string_view json);
+///@}
+
 /** Trace-event phase, mirroring the Chrome trace-event format. */
 enum class Phase
 {
@@ -112,6 +128,29 @@ struct TraceEvent
     Seconds dur{0.0}; ///< Span length; meaningful for Complete only.
     std::vector<Arg> args;
 };
+
+/** @name Lookups of one named arg, read with readNumber/readString.
+ * Nullopt when @p ev has no arg @p key or its first such arg has
+ * another shape. */
+///@{
+std::optional<double> argNumber(const TraceEvent &ev, std::string_view key);
+std::optional<std::string> argString(const TraceEvent &ev,
+                                     std::string_view key);
+///@}
+
+/** @name The supply-rail counter
+ *
+ * A power domain's rail is sampled as a Counter named
+ * `voltage.<domain>`; these two functions are the only place that
+ * spells that name.
+ */
+///@{
+/** The counter name that samples @p domain's supply. */
+std::string voltageCounter(std::string_view domain);
+/** The domain a voltageCounter() name samples; nullopt for any other
+ * name. */
+std::optional<std::string_view> voltageDomain(std::string_view name);
+///@}
 
 /**
  * Destination for emitted events.
@@ -223,9 +262,14 @@ void instant(const char *category, std::string name,
  * time. The value travels as the single numeric argument `v`, which is
  * what Perfetto's counter-track rendering and the report layer's
  * waveform extraction both expect. The power layer samples each
- * domain's supply as `counter("power", "voltage.<domain>", volts)`.
+ * domain's supply as `counter("power", voltageCounter(domain), volts)`.
  */
 void counter(const char *category, std::string name, double value);
+
+/** counter() stamped at @p ts instead of simTime(): for waveforms
+ * emitted in one batch after the clock has passed them. */
+void counterAt(const char *category, std::string name, Seconds ts,
+               double value);
 
 /**
  * A simulation-time span: captures simTime() at construction and emits

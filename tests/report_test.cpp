@@ -588,58 +588,142 @@ TEST(Invariants, DetectsAttackStepDisorder)
     EXPECT_TRUE(report::checkTraceInvariants(ok).empty());
 }
 
+/** One bounded-excursion span kind: its name, the arg that sets its
+ * floor, and the invariant that audits it. */
+struct ExcursionKind
+{
+    const char *span;
+    const char *floor_arg;
+    const char *invariant;
+};
+
+constexpr ExcursionKind kExcursionKinds[] = {
+    {"glitch.pulse", "depth_v", "glitch_bounds"},
+    {"undervolt.hold", "depth_v", "sidechannel_bounds"},
+    {"coupling.capture", "dip_bound_v", "sidechannel_bounds"},
+};
+
 trace::TraceEvent
-glitchSpan(double start_s, double end_s, const char *domain,
-           double nominal_v, double depth_v)
+excursionSpan(const ExcursionKind &kind, double start_s, double end_s,
+              const char *domain, double nominal_v, double depth_v)
 {
     trace::TraceEvent ev;
     ev.phase = trace::Phase::Complete;
     ev.category = "power";
-    ev.name = "glitch.pulse";
+    ev.name = kind.span;
     ev.ts = Seconds(start_s);
     ev.dur = Seconds(end_s - start_s);
     ev.args.emplace_back("domain", domain);
     ev.args.emplace_back("nominal_v", nominal_v);
-    ev.args.emplace_back("depth_v", depth_v);
+    ev.args.emplace_back(kind.floor_arg, depth_v);
     return ev;
 }
 
 TEST(Invariants, GlitchBoundsAcceptsAWellFormedPulse)
 {
-    std::vector<trace::TraceEvent> events;
-    events.push_back(counterAt("voltage.VDD_CORE", 1.0e-9, 0.6));
-    events.push_back(counterAt("voltage.VDD_CORE", 2.0e-9, 0.5));
-    events.push_back(counterAt("voltage.VDD_CORE", 3.0e-9, 0.8));
-    events.push_back(glitchSpan(0.5e-9, 3.0e-9, "VDD_CORE", 0.8, 0.3));
-    EXPECT_TRUE(report::checkTraceInvariants(events).empty());
+    for (const ExcursionKind &kind : kExcursionKinds) {
+        SCOPED_TRACE(kind.span);
+        std::vector<trace::TraceEvent> events;
+        events.push_back(counterAt("voltage.VDD_CORE", 1.0e-9, 0.6));
+        events.push_back(counterAt("voltage.VDD_CORE", 2.0e-9, 0.5));
+        events.push_back(counterAt("voltage.VDD_CORE", 3.0e-9, 0.8));
+        events.push_back(
+            excursionSpan(kind, 0.5e-9, 3.0e-9, "VDD_CORE", 0.8, 0.3));
+        EXPECT_TRUE(report::checkTraceInvariants(events).empty());
+    }
 }
 
 TEST(Invariants, DetectsGlitchExcursionBeyondDepth)
 {
-    std::vector<trace::TraceEvent> events;
-    events.push_back(counterAt("voltage.VDD_CORE", 1.0e-9, 0.4)); // !
-    events.push_back(counterAt("voltage.VDD_CORE", 3.0e-9, 0.8));
-    events.push_back(glitchSpan(0.5e-9, 3.0e-9, "VDD_CORE", 0.8, 0.3));
-    EXPECT_TRUE(hasViolation(report::checkTraceInvariants(events),
-                             "glitch_bounds"));
+    for (const ExcursionKind &kind : kExcursionKinds) {
+        SCOPED_TRACE(kind.span);
+        std::vector<trace::TraceEvent> events;
+        events.push_back(counterAt("voltage.VDD_CORE", 1.0e-9, 0.4)); // !
+        events.push_back(counterAt("voltage.VDD_CORE", 3.0e-9, 0.8));
+        events.push_back(
+            excursionSpan(kind, 0.5e-9, 3.0e-9, "VDD_CORE", 0.8, 0.3));
+        EXPECT_TRUE(hasViolation(report::checkTraceInvariants(events),
+                                 kind.invariant));
+    }
 }
 
 TEST(Invariants, DetectsGlitchThatNeverRecovers)
 {
-    std::vector<trace::TraceEvent> events;
-    events.push_back(counterAt("voltage.VDD_CORE", 1.0e-9, 0.6));
-    events.push_back(counterAt("voltage.VDD_CORE", 2.9e-9, 0.6));
-    events.push_back(glitchSpan(0.5e-9, 3.0e-9, "VDD_CORE", 0.8, 0.3));
-    EXPECT_TRUE(hasViolation(report::checkTraceInvariants(events),
-                             "glitch_bounds"));
+    for (const ExcursionKind &kind : kExcursionKinds) {
+        SCOPED_TRACE(kind.span);
+        std::vector<trace::TraceEvent> events;
+        events.push_back(counterAt("voltage.VDD_CORE", 1.0e-9, 0.6));
+        events.push_back(counterAt("voltage.VDD_CORE", 2.9e-9, 0.6));
+        events.push_back(
+            excursionSpan(kind, 0.5e-9, 3.0e-9, "VDD_CORE", 0.8, 0.3));
+        EXPECT_TRUE(hasViolation(report::checkTraceInvariants(events),
+                                 kind.invariant));
+    }
 }
 
 TEST(Invariants, DetectsGlitchPulseWithoutSamples)
 {
-    std::vector<trace::TraceEvent> events;
-    events.push_back(glitchSpan(0.5e-9, 3.0e-9, "VDD_CORE", 0.8, 0.3));
-    EXPECT_TRUE(hasViolation(report::checkTraceInvariants(events),
-                             "glitch_bounds"));
+    for (const ExcursionKind &kind : kExcursionKinds) {
+        SCOPED_TRACE(kind.span);
+        std::vector<trace::TraceEvent> events;
+        events.push_back(
+            excursionSpan(kind, 0.5e-9, 3.0e-9, "VDD_CORE", 0.8, 0.3));
+        EXPECT_TRUE(hasViolation(report::checkTraceInvariants(events),
+                                 kind.invariant));
+    }
+}
+
+TEST(Invariants, DetectsExcursionSpanLackingAnArg)
+{
+    for (const ExcursionKind &kind : kExcursionKinds) {
+        SCOPED_TRACE(kind.span);
+        const trace::TraceEvent whole =
+            excursionSpan(kind, 0.5e-9, 3.0e-9, "VDD_CORE", 0.8, 0.3);
+        for (size_t drop = 0; drop < whole.args.size(); ++drop) {
+            SCOPED_TRACE(whole.args[drop].key);
+            trace::TraceEvent span = whole;
+            span.args.erase(span.args.begin() +
+                            static_cast<std::ptrdiff_t>(drop));
+            std::vector<trace::TraceEvent> events;
+            events.push_back(counterAt("voltage.VDD_CORE", 1.0e-9, 0.6));
+            events.push_back(counterAt("voltage.VDD_CORE", 3.0e-9, 0.8));
+            events.push_back(span);
+            EXPECT_TRUE(hasViolation(
+                report::checkTraceInvariants(events), kind.invariant));
+        }
+    }
+}
+
+TEST(TraceArgs, ReadersAcceptOnlyWholeTokensOfTheirShape)
+{
+    EXPECT_EQ(trace::readNumber("0.8"), 0.8);
+    EXPECT_EQ(trace::readNumber("1e-09"), 1e-09);
+    EXPECT_EQ(trace::readNumber(trace::Arg("v", 0.8).json), 0.8);
+    EXPECT_FALSE(trace::readNumber("null"));
+    EXPECT_FALSE(trace::readNumber("0.8x"));
+    EXPECT_FALSE(trace::readNumber("\"0.8\""));
+    EXPECT_FALSE(trace::readNumber("\"a\\\"b\""));
+    EXPECT_FALSE(trace::readNumber(""));
+
+    EXPECT_EQ(trace::readString("\"VDD_CORE\""), "VDD_CORE");
+    EXPECT_EQ(trace::readString(trace::Arg("d", "VDD_CORE").json),
+              "VDD_CORE");
+    EXPECT_FALSE(trace::readString("\"a\\\"b\""));
+    EXPECT_FALSE(trace::readString("0.8"));
+    EXPECT_FALSE(trace::readString("null"));
+
+    trace::TraceEvent ev;
+    ev.args.emplace_back("v", 0.5);
+    ev.args.emplace_back("domain", "VDD_CORE");
+    EXPECT_EQ(trace::argNumber(ev, "v"), 0.5);
+    EXPECT_EQ(trace::argString(ev, "domain"), "VDD_CORE");
+    EXPECT_FALSE(trace::argNumber(ev, "domain"));
+    EXPECT_FALSE(trace::argNumber(ev, "missing"));
+
+    EXPECT_EQ(trace::voltageCounter("VDD_CORE"), "voltage.VDD_CORE");
+    EXPECT_EQ(trace::voltageDomain(trace::voltageCounter("VDD_CORE")),
+              "VDD_CORE");
+    EXPECT_FALSE(trace::voltageDomain("current.VDD_CORE"));
 }
 
 TEST(Invariants, RealGlitchTrialTracePasses)
