@@ -255,16 +255,21 @@ VoltBootAttack::execute()
     return powerCycleAndBoot();
 }
 
+uint64_t
+VoltBootAttack::dumpBase() const
+{
+    return soc_.config().dram_base + kDumpBaseOffset;
+}
+
 MemoryImage
-VoltBootAttack::runExtractor(
-    size_t core, const std::function<std::string(uint64_t)> &source,
-    uint64_t max_steps, size_t bytes)
+VoltBootAttack::runExtractor(size_t core, const std::string &source,
+                             uint64_t max_steps, size_t bytes)
 {
     if (!booted_)
         fatal("VoltBootAttack: execute() the power cycle before dumping");
     const uint64_t load = soc_.config().dram_base + kExtractorOffset;
-    const uint64_t dump = soc_.config().dram_base + kDumpBaseOffset;
-    Program p = Assembler::assemble(source(dump));
+    const uint64_t dump = dumpBase();
+    Program p = Assembler::assemble(source);
     p.load_address = load;
     soc_.loadProgram(p);
     soc_.runCore(core, load, max_steps);
@@ -298,10 +303,8 @@ VoltBootAttack::dumpL1Way(size_t core, L1Ram ram, size_t way)
                     : info.geom.sets() * info.geom.line_bytes;
     MemoryImage img = runExtractor(
         core,
-        [&](uint64_t dump) {
-            return wayExtractorSource(info.id, way, info.geom.sets(),
-                                      words, dump);
-        },
+        wayExtractorSource(info.id, way, info.geom.sets(), words,
+                           dumpBase()),
         50'000'000, bytes_per_way);
     note("step 4: dumped core " + std::to_string(core) + " RAM " +
          std::to_string(info.id) + " way " + std::to_string(way) + " (" +
@@ -329,8 +332,8 @@ VoltBootAttack::dumpVectorRegisters(size_t core)
     step.arg({"what", "vector_registers"});
     step.arg({"core", static_cast<uint64_t>(core)});
     step.arg({"bytes", static_cast<uint64_t>(32 * 16)});
-    MemoryImage img =
-        runExtractor(core, vectorExtractorSource, 1'000'000, 32 * 16);
+    MemoryImage img = runExtractor(
+        core, vectorExtractorSource(dumpBase()), 1'000'000, 32 * 16);
     note("step 4: dumped core " + std::to_string(core) +
          " vector registers (512 bytes)");
     return img;
@@ -347,10 +350,8 @@ VoltBootAttack::dumpDtlb(size_t core)
     for (size_t way = 0; way < tlb.ways(); ++way) {
         const MemoryImage img = runExtractor(
             core,
-            [&](uint64_t dump) {
-                return wayExtractorSource(RamIndexDescriptor::kDTlb, way,
-                                          tlb.sets(), 2, dump);
-            },
+            wayExtractorSource(RamIndexDescriptor::kDTlb, way, tlb.sets(),
+                               2, dumpBase()),
             5'000'000, tlb.sets() * 16);
         all.insert(all.end(), img.bytes().begin(), img.bytes().end());
     }
@@ -368,10 +369,8 @@ VoltBootAttack::dumpBtb(size_t core)
     const size_t entries = soc_.btb(core).entryCount();
     MemoryImage img = runExtractor(
         core,
-        [&](uint64_t dump) {
-            return unrolledExtractorSource(RamIndexDescriptor::kBtb,
-                                           entries, 2, dump);
-        },
+        unrolledExtractorSource(RamIndexDescriptor::kBtb, entries, 2,
+                                dumpBase()),
         10'000'000, entries * 16);
     note("step 4: dumped core " + std::to_string(core) + " BTB (" +
          std::to_string(entries * 16) + " bytes)");

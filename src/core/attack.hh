@@ -33,7 +33,6 @@
 #define VOLTBOOT_CORE_ATTACK_HH
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -127,15 +126,14 @@ class VoltBootAttack
     bool bootAttackerCode();
 
   private:
-    /** Step 4's program-driven dump: assemble @p source(dump base) at
-     * the extractor address, run it on @p core for at most
-     * @p max_steps, and read @p bytes back from the dump region.
-     * fatal() before the power cycle has booted attacker code, or if
-     * the program faults. */
-    MemoryImage
-    runExtractor(size_t core,
-                 const std::function<std::string(uint64_t)> &source,
-                 uint64_t max_steps, size_t bytes);
+    /** DRAM address the extraction programs dump into. */
+    uint64_t dumpBase() const;
+    /** Step 4's program-driven dump: assemble @p source at the
+     * extractor address, run it on @p core for at most @p max_steps,
+     * and read @p bytes back from dumpBase(). fatal() before the power
+     * cycle has booted attacker code, or if the program faults. */
+    MemoryImage runExtractor(size_t core, const std::string &source,
+                             uint64_t max_steps, size_t bytes);
     void note(std::string line);
 
     Soc &soc_;

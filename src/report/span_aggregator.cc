@@ -61,13 +61,7 @@ SpanAggregate::build(std::span<const trace::TraceEvent> events)
         if (ev.phase != trace::Phase::Complete) {
             ++agg.event_counts_[key];
             if (ev.phase == trace::Phase::Counter) {
-                for (const trace::Arg &arg : ev.args) {
-                    if (arg.key != "v")
-                        continue;
-                    const std::optional<double> v =
-                        trace::readNumber(arg.json);
-                    if (!v)
-                        continue;
+                if (const auto v = trace::argNumber(ev, "v")) {
                     agg.counter_tracks_[key].push_back(
                         {ev.ts.seconds(), *v});
                     if (const auto domain = trace::voltageDomain(ev.name))

@@ -48,6 +48,11 @@ jsonQuote(const std::string &s)
     return out;
 }
 
+namespace
+{
+
+/** The number @p json holds; the whole token must parse, so `null`,
+ * strings and prefixes such as `0.8x` give nullopt. */
 std::optional<double>
 readNumber(std::string_view json)
 {
@@ -59,6 +64,8 @@ readNumber(std::string_view json)
     return v;
 }
 
+/** The text of a quoted string without escapes; nullopt for anything
+ * else (numbers, `null`, strings that carry a backslash). */
 std::optional<std::string>
 readString(std::string_view json)
 {
@@ -69,9 +76,6 @@ readString(std::string_view json)
         return std::nullopt;
     return std::string(body);
 }
-
-namespace
-{
 
 const Arg *
 findArg(const TraceEvent &ev, std::string_view key)

@@ -91,20 +91,6 @@ struct Arg
     }
 };
 
-/** @name Reading rendered args back
- *
- * The one reader of an Arg::json value, for every consumer of a trace
- * (the invariant audit, the span aggregator, the coupling analyzer).
- */
-///@{
-/** The number @p json holds; the whole token must parse, so `null`,
- * strings and prefixes such as `0.8x` give nullopt. */
-std::optional<double> readNumber(std::string_view json);
-/** The text of a quoted string without escapes; nullopt for anything
- * else (numbers, `null`, strings that carry a backslash). */
-std::optional<std::string> readString(std::string_view json);
-///@}
-
 /** Trace-event phase, mirroring the Chrome trace-event format. */
 enum class Phase
 {
@@ -129,9 +115,14 @@ struct TraceEvent
     std::vector<Arg> args;
 };
 
-/** @name Lookups of one named arg, read with readNumber/readString.
- * Nullopt when @p ev has no arg @p key or its first such arg has
- * another shape. */
+/** @name Reading rendered args back
+ *
+ * The one reader of an Arg::json value, for every consumer of a trace
+ * (the invariant audit, the span aggregator, the coupling analyzer).
+ * argNumber needs the whole token to parse as a number, so `null`,
+ * strings and prefixes such as `0.8x` are rejected; argString accepts
+ * only a quoted string without escapes. Nullopt when @p ev has no arg
+ * @p key or its first such arg has another shape. */
 ///@{
 std::optional<double> argNumber(const TraceEvent &ev, std::string_view key);
 std::optional<std::string> argString(const TraceEvent &ev,

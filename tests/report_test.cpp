@@ -696,29 +696,33 @@ TEST(Invariants, DetectsExcursionSpanLackingAnArg)
 
 TEST(TraceArgs, ReadersAcceptOnlyWholeTokensOfTheirShape)
 {
-    EXPECT_EQ(trace::readNumber("0.8"), 0.8);
-    EXPECT_EQ(trace::readNumber("1e-09"), 1e-09);
-    EXPECT_EQ(trace::readNumber(trace::Arg("v", 0.8).json), 0.8);
-    EXPECT_FALSE(trace::readNumber("null"));
-    EXPECT_FALSE(trace::readNumber("0.8x"));
-    EXPECT_FALSE(trace::readNumber("\"0.8\""));
-    EXPECT_FALSE(trace::readNumber("\"a\\\"b\""));
-    EXPECT_FALSE(trace::readNumber(""));
-
-    EXPECT_EQ(trace::readString("\"VDD_CORE\""), "VDD_CORE");
-    EXPECT_EQ(trace::readString(trace::Arg("d", "VDD_CORE").json),
-              "VDD_CORE");
-    EXPECT_FALSE(trace::readString("\"a\\\"b\""));
-    EXPECT_FALSE(trace::readString("0.8"));
-    EXPECT_FALSE(trace::readString("null"));
-
+    // One event carrying each token shape as a pre-rendered arg.
+    auto raw = [](std::string key, std::string json) {
+        trace::Arg arg(std::move(key), 0);
+        arg.json = std::move(json);
+        return arg;
+    };
     trace::TraceEvent ev;
-    ev.args.emplace_back("v", 0.5);
+    ev.args.emplace_back("v", 0.8);
+    ev.args.push_back(raw("exp", "1e-09"));
+    ev.args.push_back(raw("null", "null"));
+    ev.args.push_back(raw("prefix", "0.8x"));
+    ev.args.push_back(raw("quoted", "\"0.8\""));
+    ev.args.push_back(raw("escaped", "\"a\\\"b\""));
+    ev.args.push_back(raw("empty", ""));
     ev.args.emplace_back("domain", "VDD_CORE");
-    EXPECT_EQ(trace::argNumber(ev, "v"), 0.5);
+
+    EXPECT_EQ(trace::argNumber(ev, "v"), 0.8);
+    EXPECT_EQ(trace::argNumber(ev, "exp"), 1e-09);
+    for (const char *key :
+         {"null", "prefix", "quoted", "escaped", "empty", "domain",
+          "missing"})
+        EXPECT_FALSE(trace::argNumber(ev, key)) << key;
+
     EXPECT_EQ(trace::argString(ev, "domain"), "VDD_CORE");
-    EXPECT_FALSE(trace::argNumber(ev, "domain"));
-    EXPECT_FALSE(trace::argNumber(ev, "missing"));
+    EXPECT_EQ(trace::argString(ev, "quoted"), "0.8");
+    for (const char *key : {"escaped", "v", "null", "missing"})
+        EXPECT_FALSE(trace::argString(ev, key)) << key;
 
     EXPECT_EQ(trace::voltageCounter("VDD_CORE"), "voltage.VDD_CORE");
     EXPECT_EQ(trace::voltageDomain(trace::voltageCounter("VDD_CORE")),
