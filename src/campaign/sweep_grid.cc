@@ -1,5 +1,6 @@
 #include "campaign/sweep_grid.hh"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <limits>
@@ -147,8 +148,14 @@ void
 parseList(std::vector<T> &list, const std::string &value, const Axis &axis)
 {
     list.clear();
-    for (const std::string &item : split(value, ','))
-        list.push_back(parseValue<T>(item, axis));
+    for (const std::string &item : split(value, ',')) {
+        // Compared as parsed: temp=25,25.0 repeats a value too.
+        T v = parseValue<T>(item, axis);
+        if (std::find(list.begin(), list.end(), v) != list.end())
+            fatal("grid key '", axis.key, "' repeats value '", trim(item),
+                  "'");
+        list.push_back(std::move(v));
+    }
 }
 
 void

@@ -52,73 +52,6 @@ TresorCipher::encryptBlock(std::span<uint8_t, 16> block) const
     aes.encryptBlock(block);
 }
 
-SentryExecution::SentryExecution(MemoryRegion &dram, MemoryArray &iram,
-                                 size_t iram_offset,
-                                 std::span<const uint8_t> key)
-    : dram_(dram), iram_(iram), iram_offset_(iram_offset),
-      key_bytes_(key.size())
-{
-    const std::vector<uint8_t> schedule = Aes::expandKey(key);
-    schedule_bytes_ = schedule.size();
-    if (iram_offset_ + schedule_bytes_ > iram_.sizeBytes())
-        fatal("SentryExecution: workspace does not fit the iRAM");
-    // The schedule header lives on-chip, never in DRAM.
-    iram_.write(iram_offset_, schedule);
-}
-
-std::vector<uint8_t>
-SentryExecution::readSchedule() const
-{
-    std::vector<uint8_t> out(schedule_bytes_);
-    iram_.read(iram_offset_, out);
-    return out;
-}
-
-void
-SentryExecution::protectPage(uint64_t addr,
-                             std::span<const uint8_t> plaintext)
-{
-    if (plaintext.size() % 16)
-        fatal("SentryExecution: page length must be a multiple of 16");
-    const std::vector<uint8_t> schedule = readSchedule();
-    Aes aes(std::span<const uint8_t>(schedule.data(), key_bytes_));
-    const std::vector<uint8_t> ciphertext = aes.encryptEcb(plaintext);
-    for (size_t i = 0; i < ciphertext.size(); ++i)
-        dram_.write8(addr + i, ciphertext[i]);
-}
-
-size_t
-SentryExecution::unlockPage(uint64_t addr, size_t length)
-{
-    if (length % 16)
-        fatal("SentryExecution: page length must be a multiple of 16");
-    const size_t clear_off = iram_offset_ + schedule_bytes_;
-    if (clear_off + length > iram_.sizeBytes())
-        fatal("SentryExecution: page does not fit the workspace");
-
-    std::vector<uint8_t> ciphertext(length);
-    for (size_t i = 0; i < length; ++i)
-        ciphertext[i] = dram_.read8(addr + i);
-    const std::vector<uint8_t> schedule = readSchedule();
-    Aes aes(std::span<const uint8_t>(schedule.data(), key_bytes_));
-    const std::vector<uint8_t> plaintext = aes.decryptEcb(ciphertext);
-    iram_.write(clear_off, plaintext);
-    cleartext_bytes_ = std::max(cleartext_bytes_, length);
-    return clear_off;
-}
-
-void
-SentryExecution::lockWorkspace()
-{
-    // Sentry wipes the cleartext on screen-lock; the schedule header
-    // stays for the next unlock. (An abrupt power cut skips this, which
-    // is exactly how the attack catches the device.)
-    const size_t clear_off = iram_offset_ + schedule_bytes_;
-    for (size_t i = 0; i < cleartext_bytes_; ++i)
-        iram_.writeByte(clear_off + i, 0);
-    cleartext_bytes_ = 0;
-}
-
 CaseExecution::CaseExecution(Cache &cache, uint64_t base_addr,
                              std::span<const uint8_t> plaintext_binary,
                              std::span<const uint8_t> key, bool secure_world)

@@ -28,7 +28,6 @@
 #include "crypto/aes.hh"
 #include "isa/cpu.hh"
 #include "mem/cache.hh"
-#include "mem/memory_system.hh"
 
 namespace voltboot
 {
@@ -61,54 +60,6 @@ class TresorCipher
     Cpu &cpu_;
     size_t key_bytes_;
     size_t schedule_bytes_;
-};
-
-/**
- * Sentry-style OCRAM-assisted protection (Colp et al., cited by the
- * paper alongside CaSE/TRESOR): sensitive pages live AES-encrypted in
- * DRAM while the device is locked; on unlock they are decrypted into
- * on-chip iRAM, and the AES state itself also stays in iRAM. Cold boot
- * against the DRAM finds only ciphertext — but the iRAM sits in exactly
- * the power domain a Volt Boot probe holds (Section 7.3).
- */
-class SentryExecution
-{
-  public:
-    /**
-     * @param dram        Region holding the encrypted pages.
-     * @param iram        On-chip array used as the cleartext workspace.
-     * @param iram_offset Where in the iRAM the workspace begins.
-     * @param key         Master key (its schedule is kept in the iRAM
-     *                    workspace header, never in DRAM).
-     */
-    SentryExecution(MemoryRegion &dram, MemoryArray &iram,
-                    size_t iram_offset, std::span<const uint8_t> key);
-
-    /** Bytes of iRAM used by the schedule header. */
-    size_t headerBytes() const { return schedule_bytes_; }
-
-    /** Encrypt @p plaintext (multiple of 16) into DRAM at @p addr. */
-    void protectPage(uint64_t addr, std::span<const uint8_t> plaintext);
-
-    /**
-     * Unlock: decrypt the page at @p addr (of @p length bytes) into the
-     * iRAM workspace right after the header; returns the iRAM offset of
-     * the cleartext.
-     */
-    size_t unlockPage(uint64_t addr, size_t length);
-
-    /** Re-lock: wipe the cleartext region of the workspace. */
-    void lockWorkspace();
-
-  private:
-    std::vector<uint8_t> readSchedule() const;
-
-    MemoryRegion &dram_;
-    MemoryArray &iram_;
-    size_t iram_offset_;
-    size_t schedule_bytes_;
-    size_t key_bytes_;
-    size_t cleartext_bytes_ = 0;
 };
 
 /** CaSE-style locked-cache AES execution environment. */

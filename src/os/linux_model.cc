@@ -141,61 +141,4 @@ LinuxModel::runProgramOnCore(size_t core, const Program &program,
     soc_.runCore(core, program.load_address, max_steps);
 }
 
-std::vector<LinuxModel::ProcessSpace>
-LinuxModel::runMultiProcessWorkload(size_t processes, size_t pages_each,
-                                    size_t timeslices)
-{
-    if (!soc_.poweredOn())
-        fatal("LinuxModel: power on before running processes");
-    if (processes == 0 || pages_each == 0)
-        fatal("LinuxModel: need at least one process and one page");
-
-    // Kernel-owned page tables live in a DRAM region past the victim
-    // windows; each process gets a root page plus an allocator arena.
-    const uint64_t table_base = soc_.config().dram_base + 0x180000;
-    const uint64_t arena_step = 0x8000;
-    soc_.dtlb(0).invalidateAll();
-
-    std::vector<ProcessSpace> spaces;
-    std::vector<PageTable> tables;
-    tables.reserve(processes);
-    for (size_t p = 0; p < processes; ++p) {
-        const uint64_t root = table_base + p * arena_step;
-        tables.emplace_back(*soc_.memory().mainMemory(), root,
-                            root + 0x1000);
-        ProcessSpace space;
-        space.asid = static_cast<uint16_t>(p + 1);
-        for (size_t page = 0; page < pages_each; ++page) {
-            // Distinct VA layout per process (heap at 0x7fP00000) and
-            // distinct physical frames.
-            const uint64_t va =
-                0x7f000000ull + (p << 20) + page * 4096;
-            const uint64_t pa = soc_.config().dram_base + 0x40000 +
-                                (p * pages_each + page) * 4096;
-            tables[p].map(va, pa, /*writable=*/true);
-            space.va_pa_pages.emplace_back(va, pa);
-        }
-        spaces.push_back(std::move(space));
-    }
-
-    // Round-robin scheduling: each timeslice switches the MMU to the
-    // next process (ASID change, no TLB flush) and touches its pages.
-    for (size_t slice = 0; slice < timeslices; ++slice) {
-        const size_t p = slice % processes;
-        Mmu proc_mmu(soc_.dtlb(0), tables[p]);
-        proc_mmu.setEnabled(true);
-        proc_mmu.setAsid(spaces[p].asid);
-        for (const auto &[va, pa] : spaces[p].va_pa_pages) {
-            const auto translated = proc_mmu.translate(va + 64);
-            if (!translated || (*translated & ~0xfffull) != pa)
-                fatal("LinuxModel: translation fault for asid ",
-                      spaces[p].asid);
-            // Touch the page through the d-cache as the process would.
-            soc_.memory().l1d(0).read64(*translated & ~7ull,
-                                        /*secure=*/false);
-        }
-    }
-    return spaces;
-}
-
 } // namespace voltboot

@@ -16,7 +16,6 @@
 #define VOLTBOOT_OS_LINUX_MODEL_HH
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "sim/rng.hh"
@@ -63,28 +62,6 @@ class LinuxModel
      */
     void runProgramOnCore(size_t core, const Program &program,
                           uint64_t max_steps = 2'000'000);
-
-    /**
-     * Ground truth of one simulated process in the multi-process
-     * workload: its ASID and the VA->PA mappings of its private pages.
-     */
-    struct ProcessSpace
-    {
-        uint16_t asid;
-        std::vector<std::pair<uint64_t, uint64_t>> va_pa_pages;
-    };
-
-    /**
-     * Run a multi-process workload on core 0: @p processes processes,
-     * each with its own ASID and @p pages_each private pages, scheduled
-     * round-robin with the core's DTLB shared between them (no flush on
-     * context switch — ASIDs disambiguate, as on real ARM kernels).
-     * Returns the per-process ground truth so a post-attack TLB dump can
-     * be checked for cross-process address-space leakage.
-     */
-    std::vector<ProcessSpace> runMultiProcessWorkload(
-        size_t processes = 4, size_t pages_each = 4,
-        size_t timeslices = 6);
 
     /** Number of kernel noise accesses issued so far (diagnostics). */
     uint64_t noiseAccesses() const { return noise_count_; }

@@ -35,13 +35,6 @@ class EventQueue
         heap_.push(Event{when, priority, next_sequence_++, std::move(cb)});
     }
 
-    /** Schedule @p cb @p delay after the current simulation time. */
-    void
-    scheduleAfter(Seconds delay, Callback cb, int priority = 0)
-    {
-        schedule(now_ + delay, std::move(cb), priority);
-    }
-
     /** Current simulation time. */
     Seconds now() const { return now_; }
 

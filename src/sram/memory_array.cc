@@ -1,7 +1,6 @@
 #include "sram/memory_array.hh"
 
 #include <bit>
-#include <cmath>
 #include <cstring>
 
 #include "sim/cell_hash_batch.hh"
@@ -154,25 +153,6 @@ MemoryArray::requirePowered(const char *op) const
               toString(state_));
 }
 
-bool
-MemoryArray::agedPowerUpState(uint64_t cell, const CellParams &p,
-                              uint64_t nonce) const
-{
-    const bool base = model_.powerUpState(cell, p, nonce);
-    if (imprint_.empty())
-        return base;
-    const double s = imprint_[cell];
-    if (s == 0.0)
-        return base;
-    // Imprint drift: with weight w = |s| / (|s| + 20 years), the cell
-    // powers up to the imprinted value instead of its intrinsic state.
-    const double w = std::abs(s) / (std::abs(s) + 20.0);
-    const bool imprinted = s > 0.0;
-    const double u = model_.rng().uniform(
-        hashCombine(cell, nonce), RetentionModel::ChannelStability + 100);
-    return u < w ? imprinted : base;
-}
-
 template <typename SurvivesFn>
 void
 MemoryArray::applyLoss(SurvivesFn survives)
@@ -192,7 +172,7 @@ MemoryArray::applyLoss(SurvivesFn survives)
             if (survives(p)) {
                 value = (v >> bit) & 1;
             } else {
-                value = agedPowerUpState(cell, p, nonce);
+                value = model_.powerUpState(cell, p, nonce);
                 loss8 |= 1u << bit;
                 ++lost;
             }
@@ -202,33 +182,6 @@ MemoryArray::applyLoss(SurvivesFn survives)
         loss_.setByte(byte, loss8);
     }
     last_cells_lost_ = lost;
-}
-
-void
-MemoryArray::age(double years)
-{
-    requirePowered("age");
-    if (years <= 0.0)
-        fatal("MemoryArray ", name_, ": aging needs positive duration");
-    if (imprint_.empty())
-        imprint_.assign(sizeBits(), 0.0f);
-    for (size_t byte = 0; byte < size_bytes_; ++byte) {
-        const uint8_t v = bits_.byteAt(byte);
-        for (int bit = 0; bit < 8; ++bit) {
-            const float delta =
-                ((v >> bit) & 1) ? static_cast<float>(years)
-                                 : -static_cast<float>(years);
-            imprint_[byte * 8 + bit] += delta;
-        }
-    }
-}
-
-double
-MemoryArray::imprintYears(uint64_t bit) const
-{
-    if (imprint_.empty() || bit >= imprint_.size())
-        return 0.0;
-    return imprint_[bit];
 }
 
 void
@@ -331,15 +284,6 @@ MemoryArray::buildFingerprintPlanes() const
                          : planes.meta_cutoffs.data(),
                      planes.meta_rank.data());
     return planes;
-}
-
-bool
-MemoryArray::fastKernelEnabled() const
-{
-    // Aging imprint modulates every power-up draw per cell, so aged
-    // arrays always take the reference path.
-    return imprint_.empty() &&
-           retentionKernel() != RetentionKernel::Reference;
 }
 
 template <typename ScalarDiesFn>
@@ -473,14 +417,8 @@ void
 MemoryArray::resolveAllToPowerUp()
 {
     last_cells_lost_ = sizeBits();
-    if (!imprint_.empty()) {
-        // Aged arrays need the per-cell path: imprint drift modulates
-        // every power-up draw, so the cached fingerprint is invalid.
-        applyLoss([](const CellParams &) { return false; });
-        return;
-    }
     loss_.setAll();
-    if (fastKernelEnabled()) {
+    if (retentionKernel() == RetentionKernel::Fast) {
         resolveAllToPowerUpFast();
         return;
     }
@@ -564,7 +502,7 @@ MemoryArray::powerUp(Volt v, Seconds off_time, Temperature temp)
         if (p_survive < 1e-12) {
             resolveAllToPowerUp();
         } else if (p_survive <= 1.0 - 1e-12) {
-            if (fastKernelEnabled()) {
+            if (retentionKernel() == RetentionKernel::Fast) {
                 // Survive iff the raw retention hash is at/above the
                 // band, i.e. lose iff below it.
                 applyLossFast(
@@ -636,7 +574,7 @@ MemoryArray::droopTo(Volt v_min)
         loss_.clear();
     } else if (v_min <= model_.config().drv_min) {
         resolveAllToPowerUp();
-    } else if (fastKernelEnabled()) {
+    } else if (retentionKernel() == RetentionKernel::Fast) {
         // A cell dies iff its raw DRV hash is at/above the band
         // (higher hash => higher DRV).
         applyLossFast(RetentionModel::ChannelDrv,

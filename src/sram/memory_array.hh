@@ -157,20 +157,6 @@ class MemoryArray
      */
     std::vector<uint8_t> lastLossMask() const { return loss_.toBytes(); }
 
-    /**
-     * Circuit aging / data imprinting (the Section 9.2 attack family):
-     * holding a value for years of powered operation shifts the cell's
-     * analog balance so its *power-up* state leans toward the stored
-     * value. age() accrues @p years of imprint on the current contents;
-     * subsequent power-up resolutions are biased accordingly. The drift
-     * half-life is ~20 years: a decade of imprint yields only "modest"
-     * recovery, matching the literature's characterisation.
-     */
-    void age(double years);
-
-    /** Signed imprint-years on bit @p bit (positive leans 1). */
-    double imprintYears(uint64_t bit) const;
-
   private:
     void requirePowered(const char *op) const;
     /** Reference kernel: resolve every cell that fails @p survives to
@@ -188,7 +174,6 @@ class MemoryArray
      * (AVX-512 compare-to-mask where available, see
      * sim/cell_hash_batch) and applied with word ops against the
      * fingerprint/metastable planes — no per-cell scatter anywhere.
-     * Requires imprint_ empty.
      */
     template <typename ScalarDiesFn>
     void applyLossFast(uint64_t channel,
@@ -200,9 +185,6 @@ class MemoryArray
      * re-roll metastable cells via batched draws, touching only words
      * with metastable bits. */
     void resolveAllToPowerUpFast();
-    /** True when the threshold kernels may run (runtime selection says
-     * fast and no aging imprint modulates power-up draws). */
-    bool fastKernelEnabled() const;
     /** Lazily acquire the die's power-up planes (fingerprint,
      * metastable mask, first-power-on contents) from the process-wide
      * cache, deriving them on a miss. */
@@ -232,11 +214,6 @@ class MemoryArray
     uint64_t array_id_ = 0;
     /** Shared immutable power-up planes (see FingerprintPlanes). */
     mutable std::shared_ptr<const FingerprintPlanes> planes_;
-    /** Signed imprint-years per cell; empty until age() is first used. */
-    std::vector<float> imprint_;
-    /** Resolve @p cell's power-up state including any imprint drift. */
-    bool agedPowerUpState(uint64_t cell, const CellParams &p,
-                          uint64_t nonce) const;
 };
 
 /** An SRAM array with 6T-cell defaults. */

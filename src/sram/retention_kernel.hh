@@ -11,7 +11,9 @@
  *    with word-level bit ops (see docs/PERFORMANCE.md).
  *  - Reference: the original scalar path — per-cell splitmix hash
  *    chains, Acklam's inverse normal CDF and an exp() per transition.
- *    It is the oracle the golden-equivalence tests hold Fast to.
+ *    It is the oracle the golden-equivalence tests hold Fast to, and
+ *    it runs only when selected: by those tests or by a
+ *    `--retention-path reference` run. No array state switches it on.
  *
  * The selection is process-global (campaign workers construct hermetic
  * per-trial SoCs, so a global is both safe and what the CLI wants). It

@@ -204,6 +204,35 @@ TEST(SweepGrid, ParseRejectsMalformedSpecs)
                  FatalError);
 }
 
+TEST(SweepGrid, ParseRejectsARepeatedValue)
+{
+    // A repeated value would run the same trials twice under two trial
+    // indices; values are compared as parsed, so 25 and 25.0 repeat.
+    for (const auto &[spec, key, value] :
+         std::vector<std::tuple<const char *, const char *, const char *>>{
+             {"board=pi4,pi4", "board", "pi4"},
+             {"temp=25,25.0", "temp", "25.0"},
+             {"attack=voltboot, coldboot,voltboot", "attack", "voltboot"},
+             {"seeds=1;prior=0,1,0", "prior", "0"},
+             {"off-ms=5,50,5e0", "off-ms", "5e0"}}) {
+        try {
+            SweepGrid::parse(spec);
+            ADD_FAILURE() << "accepted " << spec;
+        } catch (const FatalError &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find("'" + std::string(key) + "'"),
+                      std::string::npos)
+                << msg;
+            EXPECT_NE(msg.find("repeats value '" + std::string(value) + "'"),
+                      std::string::npos)
+                << msg;
+        }
+    }
+    // Distinct values and empty entries still parse.
+    EXPECT_EQ(SweepGrid::parse("temp=25,25.5;board=pi3,pi4").size(), 4u);
+    EXPECT_EQ(SweepGrid::parse(";;;;").describe(), SweepGrid().describe());
+}
+
 TEST(Campaign, JsonIsByteIdenticalAcrossJobCounts)
 {
     SweepGrid grid;

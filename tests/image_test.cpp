@@ -86,17 +86,6 @@ TEST(MemoryImage, FindAllHandlesOverlaps)
     EXPECT_EQ(img.findAll(needle).size(), 3u);
 }
 
-TEST(MemoryImage, CountRecoveredElements)
-{
-    std::vector<uint8_t> bytes(32, 0);
-    const uint64_t e1 = 0x1122334455667788ull;
-    const uint64_t e2 = 0xAABBCCDDEEFF0011ull;
-    memcpy(bytes.data() + 8, &e1, 8);
-    MemoryImage img(bytes);
-    const std::vector<uint64_t> elements{e1, e2};
-    EXPECT_EQ(img.countRecoveredElements(elements), 1u);
-}
-
 TEST(MemoryImage, SliceAndEntropy)
 {
     MemoryImage img({0, 0, 0, 0, 1, 2, 3, 4});
@@ -113,15 +102,6 @@ TEST(MemoryImage, PbmExport)
     const std::string pbm = img.toPbm(8);
     EXPECT_EQ(pbm.rfind("P1\n8 1\n", 0), 0u);
     EXPECT_NE(pbm.find("1 1 0 0 0 0 0 0"), std::string::npos);
-}
-
-TEST(MemoryImage, PgmExport)
-{
-    MemoryImage img({0, 128, 255, 64});
-    const std::string pgm = img.toPgm(2);
-    EXPECT_EQ(pgm.rfind("P2\n2 2\n255\n", 0), 0u);
-    EXPECT_NE(pgm.find("0 128"), std::string::npos);
-    EXPECT_NE(pgm.find("255 64"), std::string::npos);
 }
 
 TEST(MemoryImage, HexdumpTruncates)

@@ -1619,6 +1619,23 @@ TEST(Cli, AttackFlagsRejectBadNumbersBeforeRunning)
     }
 }
 
+TEST(Cli, SweepRejectsARepeatedGridValue)
+{
+    const std::string dir = tempDir("cli_grid_repeat");
+    for (const auto &[grid, msg] :
+         std::vector<std::pair<const char *, const char *>>{
+             {"board=pi4,pi4", "grid key 'board' repeats value 'pi4'"},
+             {"temp=25,25.0", "grid key 'temp' repeats value '25.0'"}}) {
+        const CliResult r = runCli(std::string("sweep --grid \"") + grid +
+                                       "\" --jobs 1 --out " + dir +
+                                       "/r.json --quiet",
+                                   dir);
+        EXPECT_EQ(r.exit_code, 1) << grid;
+        EXPECT_NE(r.err.find(msg), std::string::npos) << r.err;
+        EXPECT_FALSE(std::filesystem::exists(dir + "/r.json")) << grid;
+    }
+}
+
 #endif // VOLTBOOT_CLI_PATH
 
 } // namespace

@@ -395,35 +395,6 @@ TEST(GoldenEquivalence, DramTransitionsAreByteIdenticalAcrossKernels)
     expectScenarioMatchesReference(RetentionConfig::dram(), "dram");
 }
 
-TEST(GoldenEquivalence, AgedArraysForceTheReferencePathAndStillMatch)
-{
-    // The word kernels never consult the imprint planes, so an aged
-    // array silently routed through them would resolve lost cells
-    // without the imprint bias and diverge. Byte equality across
-    // kernels therefore proves age() pins the array to the reference
-    // path regardless of the selected kernel.
-    auto agedScenario = [](RetentionKernel k) {
-        KernelGuard guard(k);
-        SramArray a("aged", 797, 0x11, 5);
-        a.powerUp(Volt(0.8));
-        a.fill(0xF0);
-        a.age(10.0); // a decade of imprint: weight 1/3 toward 0xF0
-        a.powerDown();
-        a.powerUp(Volt(0.8), Seconds::milliseconds(20),
-                  Temperature::celsius(-110));
-        ScenarioStep decay{a.snapshot(), a.lastCellsLost(),
-                           a.lastLossMask()};
-        a.droopTo(Volt::millivolts(300));
-        ScenarioStep droop{a.snapshot(), a.lastCellsLost(),
-                           a.lastLossMask()};
-        return std::make_pair(decay, droop);
-    };
-    const auto expected = agedScenario(RetentionKernel::Reference);
-    const auto got = agedScenario(RetentionKernel::Fast);
-    ASSERT_EQ(got.first, expected.first) << "aged decay step diverges";
-    ASSERT_EQ(got.second, expected.second) << "aged droop step diverges";
-}
-
 /** Full Volt Boot + cold boot attack pair on pi4; returns both dumps. */
 std::pair<std::vector<uint8_t>, std::vector<uint8_t>>
 attackScenario()

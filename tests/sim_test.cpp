@@ -216,18 +216,6 @@ TEST(EventQueue, RunUntilStopsAtBoundary)
     EXPECT_DOUBLE_EQ(q.now().seconds(), 2.0);
 }
 
-TEST(EventQueue, ScheduleAfterUsesCurrentTime)
-{
-    EventQueue q;
-    double fired_at = -1.0;
-    q.schedule(Seconds(2.0), [&] {
-        q.scheduleAfter(Seconds(3.0),
-                        [&] { fired_at = q.now().seconds(); });
-    });
-    q.run();
-    EXPECT_DOUBLE_EQ(fired_at, 5.0);
-}
-
 TEST(Stats, RunningStatsMoments)
 {
     RunningStats s;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <numeric>
 
@@ -475,6 +476,36 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_pair(-60.0, 1.0),
                       std::make_pair(-40.0, 2.0),
                       std::make_pair(25.0, 1.0)));
+
+TEST(Aging, UnagedArrayRevealsNothing)
+{
+    // Without age(), the power-up state is uncorrelated with history.
+    SramArray array("fresh", 8192, 1, 1);
+    array.powerUp(Volt(0.8));
+    array.fill(0xC3);
+    array.powerDown();
+    array.powerUp(Volt(0.8), Seconds(3600.0), Temperature::celsius(25.0));
+    size_t match_bits = 0;
+    for (size_t i = 0; i < array.sizeBytes(); ++i)
+        match_bits += 8 - std::popcount(
+                              static_cast<uint8_t>(array.readByte(i) ^
+                                                   0xC3));
+    EXPECT_NEAR(static_cast<double>(match_bits) / array.sizeBits(), 0.5,
+                0.02);
+}
+
+TEST(Aging, VoltBootNeedsNoAgingAtAll)
+{
+    // The contrast the paper draws: imprinting needs a decade; the
+    // probe-held power cycle reproduces everything instantly.
+    SramArray array("vb", 2048, 11, 1);
+    array.powerUp(Volt(0.8));
+    array.fill(0xC3);
+    array.retainAt(Volt(0.8));
+    array.resumePowered(Volt(0.8));
+    for (size_t i = 0; i < array.sizeBytes(); ++i)
+        ASSERT_EQ(array.readByte(i), 0xC3);
+}
 
 } // namespace
 } // namespace voltboot

@@ -11,7 +11,6 @@
 #include "mem/btb.hh"
 #include "mem/memory_system.hh"
 #include "mem/tlb.hh"
-#include "os/linux_model.hh"
 #include "sim/logging.hh"
 #include "soc/soc.hh"
 #include "sram/memory_array.hh"
@@ -272,41 +271,6 @@ TEST(SocMicroArch, TlbAndBtbSurviveProbedPowerCycle)
                        e.ppn == 0x40000ull / 4096 && e.asid == 9;
     EXPECT_TRUE(saw_mapping);
     EXPECT_EQ(soc.btb(0).predict(0x8000), 0x9000u);
-}
-
-TEST(SocMicroArch, MultiProcessTlbLeaksEveryAddressSpace)
-{
-    // A realistic OS shares the DTLB across processes via ASIDs. After a
-    // probed power cycle, the TLB dump exposes the address-space layout
-    // of EVERY recently scheduled process, not just the last one.
-    Soc soc(SocConfig::bcm2711());
-    soc.powerOn();
-
-    // Boot-like cache setup plus the multi-process schedule.
-    for (size_t core = 0; core < soc.coreCount(); ++core) {
-        soc.memory().l1i(core).invalidateAll();
-        soc.memory().l1d(core).invalidateAll();
-        soc.port(core).setCacheEnables(true, true);
-    }
-    LinuxModel linux_model(soc);
-    const auto spaces = linux_model.runMultiProcessWorkload(
-        /*processes=*/3, /*pages_each=*/3, /*timeslices=*/9);
-    ASSERT_EQ(spaces.size(), 3u);
-
-    VoltBootAttack attack(soc);
-    ASSERT_TRUE(attack.execute().rebooted_into_attacker_code);
-    const auto entries = Tlb::parseDump(attack.dumpDtlb(0));
-
-    for (const auto &space : spaces) {
-        size_t found = 0;
-        for (const auto &[va, pa] : space.va_pa_pages) {
-            for (const auto &e : entries)
-                found += e.asid == space.asid && e.vpn == va / 4096 &&
-                         e.ppn == pa / 4096;
-        }
-        EXPECT_EQ(found, space.va_pa_pages.size())
-            << "asid " << space.asid;
-    }
 }
 
 TEST(SocMicroArch, RamIndexReachesTlbAndBtb)

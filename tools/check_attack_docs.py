@@ -20,7 +20,11 @@ What the docs must provide:
    one backticked mention of every sweep-axis key, so the parameter
    tables cannot silently omit an axis;
  - docs/CAMPAIGN.md: a backticked mention of every record column, so the
-   result-schema table cannot silently omit one.
+   result-schema table cannot silently omit one;
+ - DESIGN.md: every backticked CamelCase or camelCase identifier in its
+   tables (``MemorySystem``, ``ramIndexRead``, each part of
+   ``Soc::powerCycle``) occurs as a word somewhere under src/ or tools/,
+   so a renamed or deleted class cannot linger in the design inventory.
 
 Exit code 1 with a per-item report when anything is missing.
 
@@ -36,11 +40,17 @@ GRID_CC = "src/campaign/sweep_grid.cc"
 RESULT_HH = "src/campaign/campaign_result.hh"
 ATTACKS_DOC = "docs/ATTACKS.md"
 CAMPAIGN_DOC = "docs/CAMPAIGN.md"
+DESIGN_DOC = "DESIGN.md"
+CODE_DIRS = ("src", "tools")
 
 NAMES_RE = re.compile(r"kAttackNames\s*=\s*{([^}]*)}", re.S)
 AXIS_RE = re.compile(r'\baxis<[^>]*>\(\s*"([a-z0-9-]+)"')
 COLUMNS_RE = re.compile(r"kRecordColumns\[\]\s*=\s*{(.*?)\n};", re.S)
 COLUMN_RE = re.compile(r'{"([a-z0-9_]+)",\s*&Trial(?:Spec|Record)::')
+# Two or more humps (MemorySystem), or lower-first with a hump
+# (ramIndexRead); single words such as `Cache` name modules too.
+CAMEL_RE = re.compile(
+    r"\b(?:[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+|[a-z][a-z0-9]*(?:[A-Z][a-z0-9]*)+)\b")
 
 
 def read(root, rel):
@@ -56,6 +66,28 @@ def attack_names(text):
 def record_columns(text):
     match = COLUMNS_RE.search(text)
     return COLUMN_RE.findall(match.group(1)) if match else []
+
+
+def design_identifiers(text):
+    """Backticked CamelCase/camelCase identifiers in the doc's tables."""
+    names = set()
+    for line in text.splitlines():
+        if line.lstrip().startswith("|"):
+            for span in re.findall(r"`([^`]+)`", line):
+                names.update(CAMEL_RE.findall(span))
+    return names
+
+
+def code_words(root):
+    """Every identifier-like word in the files under CODE_DIRS."""
+    words = set()
+    for top in CODE_DIRS:
+        for folder, _, files in os.walk(os.path.join(root, top)):
+            for name in files:
+                with open(os.path.join(folder, name), encoding="utf-8",
+                          errors="replace") as fh:
+                    words.update(re.findall(r"\w+", fh.read()))
+    return words
 
 
 def main():
@@ -89,11 +121,19 @@ def main():
                 f"{CAMPAIGN_DOC}: record column `{column}` is never "
                 "mentioned in backticks")
 
+    identifiers = design_identifiers(read(root, DESIGN_DOC))
+    words = code_words(root)
+    for name in sorted(identifiers - words):
+        problems.append(
+            f"{DESIGN_DOC}: `{name}` occurs nowhere in "
+            f"{' or '.join(d + '/' for d in CODE_DIRS)}")
+
     for line in problems:
         print(line, file=sys.stderr)
-    print(f"checked {len(names)} attacks, {len(axes)} sweep axes and "
-          f"{len(columns)} record columns against {ATTACKS_DOC} and "
-          f"{CAMPAIGN_DOC}, {len(problems)} problem(s)")
+    print(f"checked {len(names)} attacks, {len(axes)} sweep axes, "
+          f"{len(columns)} record columns and {len(identifiers)} "
+          f"{DESIGN_DOC} identifiers against {ATTACKS_DOC}, "
+          f"{CAMPAIGN_DOC} and the code, {len(problems)} problem(s)")
     return 1 if problems else 0
 
 
